@@ -318,7 +318,10 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config, propagation, noise = _generator_setup(args)
+    try:
+        config, propagation, noise = _generator_setup(args)
+    except (ValueError, TypeError) as exc:
+        return _fail(exc, EXIT_PARSE)
     network = generate_dag(config)
     network = simulate_delays(network, propagation, noise, config.seed)
     out_dir = _ensure_dir(args.out or "schednet_out")

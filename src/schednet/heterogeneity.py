@@ -15,6 +15,18 @@ Two related measures of structural irregularity:
 Scores are zero for networks with at most two nodes or no reachable pair:
 the normalization vanishes at n = 2 while the raw sum is provably zero
 there, so zero is the homogeneous-limit value.
+
+Local RH never rebuilds the smaller network. Removing node k changes the
+reach matrix only in the rows of k's ancestors, which lose the paths
+through k, so the reduced matrix is the base closure with row and column
+k deleted and those rows recomputed. ``rh_local_all`` visits k = 0..n-1
+in one sweep over a single (n-1) x (n-1) buffer: stepping from k-1 to k
+changes only the node that buffer row and column k-1 stand for, the rows
+patched for k-1 and the rows of anc(k). Descendant and ancestor counts
+come from exact integer deltas. The floating-point evaluation is the one
+``rh_global`` runs, on a matrix of the same shape and values, so every
+local value equals ``rh_global`` of the rebuilt smaller network,
+subtracted from the base score, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,8 +88,15 @@ def estrada_rho(network: ActivityNetwork) -> HeterogeneityScore:
 
 def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     """Global reachability-heterogeneity score of a network."""
-    value, pair_count = _rh_value(network.successor_lists, network.n)
-    return HeterogeneityScore(value, network.n, pair_count)
+    n = network.n
+    succ = network.successor_lists
+    bits = descendant_bitsets(succ, linear_topological_order(succ))
+    d = np.array([b.bit_count() for b in bits], dtype=np.int64)
+    pair_count = int(d.sum())
+    if n <= 2 or pair_count == 0:
+        return HeterogeneityScore(0.0, n, pair_count)
+    reach = _unpack(_pack(bits, n), n).astype(np.float64)
+    return HeterogeneityScore(_rh_from_reach(reach, d, reach.sum(axis=0)), n, pair_count)
 
 
 def rh_local(network: ActivityNetwork, node: int) -> float:
@@ -89,24 +108,22 @@ def rh_local(network: ActivityNetwork, node: int) -> float:
     if not 0 <= node < network.n:
         raise UnknownNode(node)
     base = rh_global(network).value
-    removed_value, _ = _rh_value(_drop_node(network.successor_lists, node), network.n - 1)
-    return base - removed_value
+    return base - _ReducedReach(network).value_without(node)
 
 
 def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
-    """Local RH for every node.
+    """Local RH for every node, in one sweep over a reduced reach matrix.
 
-    Each entry equals ``rh_local(network, i)`` bit for bit: the batch runs
-    the same one-node-removed evaluation per node, sharing only the base
-    score.
+    Each entry equals ``rh_local(network, i)`` and ``rh_global`` of the
+    network rebuilt without node i, subtracted from the base score, bit for
+    bit. The sweep holds one (n-1) x (n-1) float64 buffer, allocated after
+    the base score is computed.
     """
     base = rh_global(network)
-    succ = network.successor_lists
-    n = network.n
-    values = np.empty(n, dtype=np.float64)
-    for node in range(n):
-        removed_value, _ = _rh_value(_drop_node(succ, node), n - 1)
-        values[node] = base.value - removed_value
+    reduced = _ReducedReach(network)
+    values = np.empty(network.n, dtype=np.float64)
+    for node in range(network.n):
+        values[node] = base.value - reduced.value_without(node)
     values.setflags(write=False)
     return LocalRHVector(values, base)
 
@@ -115,19 +132,127 @@ def _normalizer(n: int) -> float:
     return n - 2.0 * math.sqrt(n - 1)
 
 
-def _drop_node(
-    succ: Sequence[Sequence[int]], node: int
-) -> tuple[tuple[int, ...], ...]:
-    """Adjacency of the subgraph without ``node``, indices compacted."""
-    return tuple(
-        tuple(j if j < node else j - 1 for j in succ[i] if j != node)
-        for i in range(len(succ))
-        if i != node
-    )
+class _ReducedReach:
+    """Reach matrix of a network with one node k removed, kept in one buffer.
+
+    Buffer row and column r stand for node r when r < k and for node r + 1
+    otherwise, as in the network rebuilt without k. The rows of anc(k)
+    hold reach without paths through k; every other row is the base
+    closure row. Moving to k + 1 only rewrites what changes.
+    """
+
+    _CHUNK = 1 << 16  # buffer entries written per step of a full refill
+
+    def __init__(self, network: ActivityNetwork) -> None:
+        n = network.n
+        self.n = n
+        self.succ = network.successor_lists
+        order = linear_topological_order(self.succ)
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n)
+        desc = descendant_bitsets(self.succ, order)
+        anc = descendant_bitsets(network.predecessor_lists, order[::-1])
+        self.closed = [bits | (1 << i) for i, bits in enumerate(desc)]
+        self.desc = _pack(desc, n)
+        self.anc = _pack(anc, n)
+        self.d = np.array([bits.bit_count() for bits in desc], dtype=np.int64)
+        self.a = np.array([bits.bit_count() for bits in anc], dtype=np.int64)
+        self.buffer = np.empty((max(n - 1, 0),) * 2, dtype=np.float64)
+        self.removed: int | None = None
+        self.patched = np.empty(0, dtype=np.int64)
+
+    def value_without(self, k: int) -> float:
+        """RH of the network without node ``k``."""
+        d, a = self._remove(k)
+        return _rh_from_reach(self.buffer, d, a)
+
+    def _remove(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Make the buffer hold the reach matrix without ``k``; return its counts."""
+        cone = self._ancestors(k)
+        if k > 0 and self.removed == k - 1:
+            # Buffer row and column k-1 switch from node k to node k-1. Row
+            # k-1 and the rows patched for k-1 go back to their base closure
+            # rows. The column needs no write of its own: a row with a 1 in
+            # it, before or after, lies in anc(k-1) or anc(k), and those
+            # rows are rewritten whole.
+            stale = np.zeros(self.n, dtype=bool)
+            stale[self.patched] = True
+            stale[k - 1] = True
+            stale[cone] = False
+            stale[k] = False
+            stale = np.flatnonzero(stale)
+            self._put_rows(stale, _unpack(self.desc[stale], self.n), k)
+        else:
+            self._refill(k)
+        rows = self._rows_avoiding(cone, k)
+        reduced = _unpack(_pack(rows, self.n), self.n)
+        self._put_rows(cone, reduced, k)
+        self.removed, self.patched = k, cone
+
+        d = self.d.copy()
+        d[cone] = [bits.bit_count() for bits in rows]
+        lost = _unpack(self.desc[cone], self.n).sum(axis=0, dtype=np.int64)
+        lost -= reduced.sum(axis=0, dtype=np.int64)
+        a = self.a - _unpack(self.desc[k], self.n) - lost
+        return _without(d, k), _without(a, k)
+
+    def _ancestors(self, k: int) -> np.ndarray:
+        """anc(k) in reverse topological order."""
+        nodes = np.flatnonzero(_unpack(self.anc[k], self.n))
+        return nodes[np.argsort(-self.rank[nodes])]
+
+    def _rows_avoiding(self, cone: np.ndarray, k: int) -> list[int]:
+        """Descendant bitsets of the ``cone`` nodes over paths that avoid ``k``.
+
+        ``cone`` is anc(k) in reverse topological order, so every successor
+        inside it is final before its predecessors fold it in; successors
+        outside it cannot reach k and keep their base closure.
+        """
+        closed = self.closed
+        within: dict[int, int] = {}
+        rows = []
+        for i in cone.tolist():
+            bits = 0
+            for j in self.succ[i]:
+                if j != k:
+                    bits |= within.get(j, closed[j])
+            within[i] = bits | (1 << i)
+            rows.append(bits)
+        return rows
+
+    def _refill(self, k: int) -> None:
+        """Write every buffer row from the base closure, in bounded chunks."""
+        step = max(1, self._CHUNK // self.n)
+        for start in range(0, self.n - 1, step):
+            nodes = np.arange(start, min(start + step, self.n - 1))
+            nodes += nodes >= k
+            self._put_rows(nodes, _unpack(self.desc[nodes], self.n), k)
+
+    def _put_rows(self, nodes: np.ndarray, reach: np.ndarray, k: int) -> None:
+        """Write full-width 0/1 rows of ``nodes`` into the buffer, dropping column k."""
+        at = nodes - (nodes > k)
+        self.buffer[at, :k] = reach[:, :k]
+        self.buffer[at, k:] = reach[:, k + 1:]
 
 
-def _rh_value(succ: Sequence[Sequence[int]], n: int) -> tuple[float, int]:
-    """RH value and reachable-pair count for an adjacency structure.
+def _without(values: np.ndarray, k: int) -> np.ndarray:
+    return np.concatenate((values[:k], values[k + 1:]))
+
+
+def _pack(bitsets: Sequence[int], n: int) -> np.ndarray:
+    """Bitsets over n nodes as rows of little-endian bytes."""
+    nbytes = (n + 7) // 8
+    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in bitsets)
+    return np.frombuffer(packed, dtype=np.uint8).reshape(len(bitsets), nbytes)
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """0/1 uint8 rows of length n from :func:`_pack` rows."""
+    return np.unpackbits(packed, axis=-1, bitorder="little", count=n)
+
+
+def _rh_from_reach(reach: np.ndarray, d: np.ndarray, a: np.ndarray) -> float:
+    """RH value of a 0/1 reach matrix with row sums ``d`` and column sums ``a``.
 
     The pair sum expands to ``#(i: d_i > 0) + #(j: a_j > 0) - 2 * u' R w``
     with u = 1/sqrt(d), w = 1/sqrt(a) and R the reachability matrix, so one
@@ -135,31 +260,18 @@ def _rh_value(succ: Sequence[Sequence[int]], n: int) -> tuple[float, int]:
     Every summed term has d_i >= 1 and a_j >= 1 by construction, so no
     division by zero can occur.
     """
-    if n == 0:
-        return 0.0, 0
-    order = linear_topological_order(succ)
-    bits = descendant_bitsets(succ, order)
-    d = np.array([b.bit_count() for b in bits], dtype=np.int64)
-    pair_count = int(d.sum())
-    if n <= 2 or pair_count == 0:
-        return 0.0, pair_count
-
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(b.to_bytes(nbytes, "little") for b in bits), dtype=np.uint8
-    ).reshape(n, nbytes)
-    reach = np.unpackbits(packed, axis=1, bitorder="little", count=n).astype(np.float64)
-
-    a = reach.sum(axis=0)
+    n = len(d)
+    if n <= 2 or not d.any():
+        return 0.0
     sources = int(np.count_nonzero(d))
     targets = int(np.count_nonzero(a))
     u = np.zeros(n, dtype=np.float64)
     np.divide(1.0, np.sqrt(d, dtype=np.float64), out=u, where=d > 0)
     w = np.zeros(n, dtype=np.float64)
-    np.divide(1.0, np.sqrt(a), out=w, where=a > 0)
+    np.divide(1.0, np.sqrt(a, dtype=np.float64), out=w, where=a > 0)
 
     cross = float(u @ (reach @ w))
     raw = sources + targets - 2.0 * cross
     if raw < 0.0:  # cancellation noise on near-homogeneous graphs
         raw = 0.0
-    return raw / _normalizer(n), pair_count
+    return raw / _normalizer(n)

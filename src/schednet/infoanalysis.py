@@ -83,8 +83,11 @@ def frequency_matrix(
     each variable's maximum lands in its last bin.
 
     Raises:
+        ValueError: the metric and delay vectors differ in length.
         InsufficientData: fewer than two valid paired observations.
     """
+    if len(x.values) != len(y.days):
+        raise ValueError("metric and delay vectors differ in length")
     mask = np.asarray(y.valid, dtype=bool)
     xv = x.values[mask]
     yv = y.days[mask].astype(np.float64)

@@ -33,7 +33,7 @@ def read_activities(path: str | Path) -> list[ActivityRecord]:
     path = Path(path)
     records: list[ActivityRecord] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         _expect_header(reader, ACTIVITY_FIELDS, path)
         for line, row in enumerate(reader, start=2):
@@ -76,7 +76,7 @@ def read_dependencies(
     """
     path = Path(path)
     deps: list[Dependency] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         _expect_header(reader, DEPENDENCY_FIELDS, path)
         for line, row in enumerate(reader, start=2):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -263,9 +263,3 @@ def _node_rng(seed: int, node_id: str) -> np.random.Generator:
     digest = hashlib.sha256(node_id.encode("utf-8")).digest()
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
 
-
-def layered_widths(layer_count: int, pattern: Sequence[int]) -> tuple[int, ...]:
-    """Repeat a width pattern across ``layer_count`` layers."""
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    return tuple(pattern[i % len(pattern)] for i in range(layer_count))

@@ -101,6 +101,18 @@ class TestValidate:
         d.write_text("predecessor,successor\n", encoding="utf-8")
         assert main(["validate", str(a), str(d)]) == 4
 
+    def test_utf8_bom_inputs_load_and_are_digested_as_bytes(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        d = tmp_path / "d.csv"
+        a.write_bytes(b"\xef\xbb\xbf" + ACTIVITIES.encode("utf-8"))
+        d.write_bytes(b"\xef\xbb\xbf" + DEPENDENCIES.encode("utf-8"))
+        out = tmp_path / "report"
+        assert main(["validate", str(a), str(d), "--out", str(out)]) == 0
+        assert "nodes: 3" in capsys.readouterr().out
+        inputs = json.loads((out / "validate.json").read_text())["inputs"]
+        for key, path in (("activities", a), ("dependencies", d)):
+            assert inputs[key]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "no.csv"), str(tmp_path / "no2.csv")]) == 2
 
@@ -307,3 +319,20 @@ class TestGenerate:
     def test_degenerate_config_exits_5(self, tmp_path):
         out = tmp_path / "gen"
         assert main(["generate", "--layers", "1", "--out", str(out)]) == 5
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--layers", "0"], ["--noise", "bogus"], ["--width", "x"], ["--duration", "5"]],
+    )
+    def test_bad_generator_parameter_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "gen"
+        assert main(["generate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{not json", '{"layer_count": [3]}'])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from schednet import (
+    ActivityNetwork,
     Dependency,
+    GeneratorConfig,
     UnknownNode,
     build_network,
     estrada_rho,
+    generate_dag,
+    prune_isolated,
+    reachability_table,
     rh_global,
     rh_local,
     rh_local_all,
@@ -30,6 +35,24 @@ def naive_local_values(net):
         ]
         out.append(base - rh_global(build_network(keep, deps)).value)
     return out
+
+
+def without_node(net, v):
+    """The network rebuilt from every node and edge not touching ``v``."""
+    nodes = [rec for i, rec in enumerate(net.nodes) if i != v]
+    edges = [(s - (s > v), t - (t > v)) for s, t in net.edges if v not in (s, t)]
+    return ActivityNetwork(nodes, edges)
+
+
+def scale_network():
+    """A generated network of about 480 nodes whose index order is shuffled."""
+    net = prune_isolated(
+        generate_dag(
+            GeneratorConfig(layer_count=20, layer_width=24, edge_probability=0.04, skip_depth=3, seed=5)
+        )
+    )
+    ids = [f"s{p:04d}" for p in np.random.default_rng(83).permutation(net.n)]
+    return build_network(make_records(ids), [Dependency(ids[s], ids[t]) for s, t in net.edges])
 
 
 class TestEstradaRho:
@@ -157,3 +180,25 @@ class TestRhLocalAll:
             batch = rh_local_all(net).values
             for v in range(net.n):
                 assert rh_local(net, v) == batch[v]
+
+    def test_matches_rebuilt_network_at_working_scale(self):
+        net = scale_network()
+        assert net.n >= 400
+        table = reachability_table(net)
+        succ, pred = net.successor_lists, net.predecessor_lists
+        loner = next(j for j in range(net.n) if len(succ[j]) + len(pred[j]) == 1)
+        samples = {
+            "first": 0,
+            "last": net.n - 1,
+            "most ancestors": int(np.argmax(table.ancestor_counts)),
+            "most descendants": int(np.argmax(table.descendant_counts)),
+            "source": next(i for i in range(net.n) if not pred[i]),
+            "sink": next(i for i in range(net.n) if not succ[i]),
+            "isolates a node": (succ[loner] + pred[loner])[0],
+        }
+        vector = rh_local_all(net)
+        base = rh_global(net).value
+        assert vector.global_score.value == base
+        for label, v in samples.items():
+            expected = base - rh_global(without_node(net, v)).value
+            assert vector.values[v] == expected, label

@@ -67,6 +67,12 @@ class TestFrequencyMatrix:
         with pytest.raises(InsufficientData):
             frequency_matrix(metric, delays)
 
+    @pytest.mark.parametrize("metric_length", [3, 5])
+    def test_length_mismatch_is_rejected(self, metric_length):
+        metric, delays = pair(np.arange(metric_length), [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="differ in length"):
+            frequency_matrix(metric, delays, 2)
+
     def test_from_counts_rejects_negative(self):
         with pytest.raises(ValueError):
             FrequencyMatrix.from_counts([[1, -1], [0, 2]])

@@ -77,6 +77,11 @@ class TestReadActivities:
             read_activities(write(tmp_path, "a.csv", ""))
 
 
+    def test_utf8_bom_is_accepted(self, tmp_path):
+        plain = read_activities(write(tmp_path, "a.csv", ACTIVITY_CSV))
+        assert read_activities(write(tmp_path, "bom.csv", "\ufeff" + ACTIVITY_CSV)) == plain
+
+
 class TestReadDependencies:
     def test_parses_rows(self, tmp_path):
         deps = read_dependencies(write(tmp_path, "d.csv", DEPENDENCY_CSV))
@@ -88,6 +93,11 @@ class TestReadDependencies:
             read_dependencies(path, known_ids={"a", "b", "c"})
         assert excinfo.value.line == 4
         assert "z" in str(excinfo.value)
+
+
+    def test_utf8_bom_is_accepted(self, tmp_path):
+        plain = read_dependencies(write(tmp_path, "d.csv", DEPENDENCY_CSV))
+        assert read_dependencies(write(tmp_path, "bom.csv", "\ufeff" + DEPENDENCY_CSV)) == plain
 
 
 class TestRoundTrip:
