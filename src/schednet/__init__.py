@@ -50,6 +50,7 @@ from .metrics import (
     closeness,
     degree_metrics,
     metric_suite,
+    metric_vector,
 )
 from .network import (
     ActivityNetwork,
@@ -84,7 +85,6 @@ from .schedule_io import (
     read_dependencies,
     write_activities,
     write_dependencies,
-    write_network_json,
 )
 from .synthgen import (
     GeneratorConfig,
@@ -125,6 +125,7 @@ __all__ = [
     "betweenness",
     "closeness",
     "metric_suite",
+    "metric_vector",
     # performance
     "DelayVector",
     "BinnedStats",
@@ -154,7 +155,6 @@ __all__ = [
     "load_network",
     "network_to_json",
     "network_from_json",
-    "write_network_json",
     # errors
     "SchednetError",
     "ScheduleParseError",

@@ -17,10 +17,9 @@ import json
 import logging
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .errors import (
@@ -36,23 +35,11 @@ from .errors import (
 )
 from .heterogeneity import LocalRHVector, rh_local_all
 from .infoanalysis import BenchmarkReport, benchmark_metrics
-from .metrics import METRIC_NAMES, MetricVector, metric_suite
-from .network import (
-    ActivityNetwork,
-    Dependency,
-    build_network,
-    prune_isolated,
-    weakly_connected_components,
-)
+from .metrics import METRIC_NAMES, MetricVector, metric_suite, metric_vector
+from .network import ActivityNetwork, Dependency, prune_isolated, weakly_connected_components
 from .performance import BinnedStats, DelayVector, bin_by_metric, end_delay, start_delay, suggest_bin_count
-from .reachability import reachability_table, tail_distribution, tail_distribution_csv
-from .schedule_io import (
-    network_to_json,
-    read_activities,
-    read_dependencies,
-    write_activities,
-    write_dependencies,
-)
+from .reachability import ReachabilityTable, reachability_table, tail_distribution, tail_distribution_csv
+from .schedule_io import load_network, network_to_json, write_activities, write_dependencies
 from .synthgen import (
     GeneratorConfig,
     NoiseSpec,
@@ -125,35 +112,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"schednet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def schedule_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def schedule_command(name: str, help_text: str, func: Callable[..., int]) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         cmd.add_argument("activities", help="activities CSV file")
         cmd.add_argument("dependencies", help="dependencies CSV file")
+        cmd.set_defaults(func=func)
         return cmd
 
-    cmd = schedule_command("validate", "parse, build and check a schedule; print network stats")
-    cmd.set_defaults(func=cmd_validate)
-
-    cmd = schedule_command("analyze", "run the full pipeline and write every artifact")
-    cmd.set_defaults(func=cmd_analyze)
-
-    cmd = schedule_command("rh", "global and per-node reachability-heterogeneity scores")
-    cmd.set_defaults(func=_cmd_rh)
-
-    cmd = schedule_command("metrics", "per-node metric suite as wide CSV")
-    cmd.set_defaults(func=_cmd_metrics)
-
-    cmd = schedule_command("bins", "binned delay statistics along one metric")
+    schedule_command("validate", "parse, build and check a schedule; print network stats", cmd_validate)
+    schedule_command("analyze", "run the full pipeline and write every artifact", cmd_analyze)
+    schedule_command("rh", "global and per-node reachability-heterogeneity scores", _cmd_subset)
+    schedule_command("metrics", "per-node metric suite as wide CSV", _cmd_subset)
+    cmd = schedule_command("bins", "binned delay statistics along one metric", _cmd_subset)
     cmd.add_argument(
         "--by",
         choices=METRIC_NAMES,
         default="local_rh",
         help="metric defining the bin axis (default: local_rh)",
     )
-    cmd.set_defaults(func=_cmd_bins)
-
-    cmd = schedule_command("benchmark", "mutual information of every metric vs the delay")
-    cmd.set_defaults(func=_cmd_benchmark)
+    schedule_command("benchmark", "mutual information of every metric vs the delay", _cmd_subset)
 
     cmd = sub.add_parser("generate", parents=[common], help="write a synthetic schedule")
     cmd.add_argument("--config", metavar="FILE", help="generator config as JSON")
@@ -193,127 +170,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    network, stats, inputs = _load_with_stats(args)
-    for key in ("nodes", "dependencies", "weakly_connected_components", "largest_component", "isolated_removed"):
-        print(f"{key}: {stats[key]}")
+    run = _Run(args)
+    for key, value in run.stats.items():
+        print(f"{key}: {value}")
     print("acyclic: true")
     if args.out:
         out_dir = _ensure_dir(args.out)
-        artifacts: list[tuple[str, str]] = []
-        report = _manifest("validate", inputs, _parameters(args), stats, {}, artifacts)
-        _write_json(out_dir / "validate.json", report, artifacts)
+        report = _manifest("validate", run.inputs, _parameters(args), run.stats, {}, [])
+        _write(out_dir, "validate.json", _json(report))
         print(f"report: {out_dir / 'validate.json'}")
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = _ensure_dir(args.out or "schednet_out")
-    network, stats, inputs = _load_with_stats(args)
-    artifacts: list[tuple[str, str]] = []
-
-    _write_json(out_dir / "network.json", network_to_json(network), artifacts)
-
-    table = reachability_table(network)
-    for which in ("descendants", "ancestors"):
-        dist = tail_distribution(table, which, network.n)
-        _write_text(out_dir / f"tail_{which}.csv", tail_distribution_csv(dist), artifacts)
-
-    local = rh_local_all(network)
-    _write_json(out_dir / "rh.json", _rh_payload(network, local), artifacts)
-    _write_text(out_dir / "rh.csv", _rh_csv(network, local), artifacts)
-
-    suite = metric_suite(network, local_rh=local)
-    _write_text(out_dir / "metrics.csv", _metrics_csv(network, suite), artifacts)
-
-    results: dict[str, Any] = {"global_rh": local.global_score.value}
-    delays = _try_delays(network, args.metric)
-    if delays is None:
-        logger.warning(
-            "no actual %s dates in the schedule; skipping delay bins and benchmark",
-            args.metric,
-        )
-        results["delay_bins"] = None
-        results["benchmark_bins"] = None
-    else:
-        axis = next(v for v in suite if v.name == "local_rh")
-        n_bins = _resolve_bins(args.bins, axis, delays)
-        stats_bins = bin_by_metric(axis, delays, n_bins)
-        _write_text(out_dir / "bins.csv", _bins_csv(stats_bins), artifacts)
-        _write_json(out_dir / "bins.json", _bins_payload(stats_bins, axis.name, delays.kind), artifacts)
-        report = benchmark_metrics(network, delays, suite=suite)
-        _write_text(out_dir / "benchmark.csv", _benchmark_csv(report, args.log_base), artifacts)
-        _write_json(out_dir / "benchmark.json", _benchmark_payload(report, args.log_base), artifacts)
-        results["delay_bins"] = n_bins
-        results["benchmark_bins"] = report.n_bins
-
-    manifest = _manifest("analyze", inputs, _parameters(args), stats, results, artifacts)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
-    print(f"global_rh: {_fmt(local.global_score.value)}")
+    run = _Run(args)
+    try:
+        run.delays
+        has_delays = True
+    except NoValidDelays:
+        logger.warning("no actual %s dates in the schedule; skipping delay bins and benchmark", args.metric)
+        has_delays = False
+    names = [name for name in ARTIFACTS if has_delays or name not in DELAY_ARTIFACTS]
+    artifacts = [_write(out_dir, name, ARTIFACTS[name](run)) for name in names]
+    results = {
+        "global_rh": run.local.global_score.value,
+        "delay_bins": run.n_bins if has_delays else None,
+        "benchmark_bins": run.report.n_bins if has_delays else None,
+    }
+    manifest = _manifest("analyze", run.inputs, _parameters(args), run.stats, results, artifacts)
+    _write(out_dir, "manifest.json", _json(manifest))
+    print(f"global_rh: {_fmt(run.local.global_score.value)}")
     print(f"artifacts: {len(artifacts) + 1} files in {out_dir}")
     return EXIT_OK
 
 
-def _cmd_rh(args: argparse.Namespace) -> int:
-    network, _, _ = _load_with_stats(args)
-    local = rh_local_all(network)
-    payload = _rh_payload(network, local)
-    if args.out:
-        out_dir = _ensure_dir(args.out)
-        artifacts: list[tuple[str, str]] = []
-        _write_json(out_dir / "rh.json", payload, artifacts)
-        _write_text(out_dir / "rh.csv", _rh_csv(network, local), artifacts)
-        _print_artifacts(artifacts, out_dir)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    network, _, _ = _load_with_stats(args)
-    text = _metrics_csv(network, metric_suite(network))
-    if args.out:
-        out_dir = _ensure_dir(args.out)
-        artifacts: list[tuple[str, str]] = []
-        _write_text(out_dir / "metrics.csv", text, artifacts)
-        _print_artifacts(artifacts, out_dir)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-def _cmd_bins(args: argparse.Namespace) -> int:
-    network, _, _ = _load_with_stats(args)
-    delays = _delays(network, args.metric)
-    suite = metric_suite(network)
-    axis = next(v for v in suite if v.name == args.by)
-    n_bins = _resolve_bins(args.bins, axis, delays)
-    stats_bins = bin_by_metric(axis, delays, n_bins)
-    text = _bins_csv(stats_bins)
-    if args.out:
-        out_dir = _ensure_dir(args.out)
-        artifacts: list[tuple[str, str]] = []
-        _write_text(out_dir / "bins.csv", text, artifacts)
-        _write_json(out_dir / "bins.json", _bins_payload(stats_bins, axis.name, delays.kind), artifacts)
-        _print_artifacts(artifacts, out_dir)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-def _cmd_benchmark(args: argparse.Namespace) -> int:
-    network, _, _ = _load_with_stats(args)
-    delays = _delays(network, args.metric)
-    report = benchmark_metrics(network, delays)
-    if args.out:
-        out_dir = _ensure_dir(args.out)
-        artifacts: list[tuple[str, str]] = []
-        _write_text(out_dir / "benchmark.csv", _benchmark_csv(report, args.log_base), artifacts)
-        _write_json(out_dir / "benchmark.json", _benchmark_payload(report, args.log_base), artifacts)
-        _print_artifacts(artifacts, out_dir)
-    else:
-        print(_benchmark_csv(report, args.log_base), end="")
+def _cmd_subset(args: argparse.Namespace) -> int:
+    """Render the subcommand's artifacts; write them to ``--out`` or print the first."""
+    run = _Run(args)
+    names = SUBSETS[args.command]
+    if not args.out:
+        print(ARTIFACTS[names[0]](run), end="")
+        return EXIT_OK
+    texts = {name: ARTIFACTS[name](run) for name in names}  # a failing stage leaves no --out dir
+    out_dir = _ensure_dir(args.out)
+    for name, text in texts.items():
+        _write(out_dir, name, text)
+        print(f"wrote: {out_dir / name}")
     return EXIT_OK
 
 
@@ -351,9 +254,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         {},
         artifacts,
     )
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write(out_dir, "manifest.json", _json(manifest))
     print(f"schedule: {network.n} activities, {len(network.edges)} dependencies -> {out_dir}")
     return EXIT_OK
 
@@ -399,43 +300,78 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
     return config, propagation, noise
 
 
-def _load_with_stats(args: argparse.Namespace) -> tuple[ActivityNetwork, dict[str, int], dict[str, dict[str, str]]]:
-    activities_path = Path(args.activities)
-    dependencies_path = Path(args.dependencies)
-    inputs = {
-        "activities": {"path": str(activities_path), "sha256": _digest_file(activities_path)},
-        "dependencies": {"path": str(dependencies_path), "sha256": _digest_file(dependencies_path)},
-    }
-    records = read_activities(activities_path)
-    deps = read_dependencies(dependencies_path, known_ids={r.id for r in records})
-    raw = build_network(records, deps)
-    network = prune_isolated(raw)
-    components = weakly_connected_components(network)
-    stats = {
-        "nodes": network.n,
-        "dependencies": len(network.edges),
-        "weakly_connected_components": components.component_count,
-        "largest_component": components.largest_component_size,
-        "isolated_removed": raw.n - network.n,
-    }
-    return network, stats, inputs
+class _Run:
+    """One schedule analysis whose stages are computed on first use and kept.
 
+    A subcommand asks only for the artifacts it writes, so it computes only
+    the stages those artifacts read.
+    """
 
-def _delays(network: ActivityNetwork, which: str) -> DelayVector:
-    return start_delay(network) if which == "start" else end_delay(network)
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
 
+    @cached_property
+    def inputs(self) -> dict[str, dict[str, str]]:
+        paths = {"activities": Path(self.args.activities), "dependencies": Path(self.args.dependencies)}
+        return {key: {"path": str(path), "sha256": _digest_file(path)} for key, path in paths.items()}
 
-def _try_delays(network: ActivityNetwork, which: str) -> DelayVector | None:
-    try:
-        return _delays(network, which)
-    except NoValidDelays:
-        return None
+    @cached_property
+    def raw(self) -> ActivityNetwork:
+        self.inputs  # digest both files before parsing, so a missing one fails here first
+        return load_network(self.args.activities, self.args.dependencies, prune=False)
 
+    @cached_property
+    def network(self) -> ActivityNetwork:
+        return prune_isolated(self.raw)
 
-def _resolve_bins(bins: Any, axis: MetricVector, delays: DelayVector) -> int:
-    if bins == "auto":
-        return suggest_bin_count(axis, delays)
-    return int(bins)
+    @cached_property
+    def stats(self) -> dict[str, int]:
+        components = weakly_connected_components(self.network)
+        return {
+            "nodes": self.network.n,
+            "dependencies": len(self.network.edges),
+            "weakly_connected_components": components.component_count,
+            "largest_component": components.largest_component_size,
+            "isolated_removed": self.raw.n - self.network.n,
+        }
+
+    @cached_property
+    def table(self) -> ReachabilityTable:
+        return reachability_table(self.network)
+
+    @cached_property
+    def local(self) -> LocalRHVector:
+        return rh_local_all(self.network)
+
+    @cached_property
+    def suite(self) -> list[MetricVector]:
+        return metric_suite(self.network, local_rh=self.local)
+
+    @cached_property
+    def delays(self) -> DelayVector:
+        return start_delay(self.network) if self.args.metric == "start" else end_delay(self.network)
+
+    @cached_property
+    def axis(self) -> MetricVector:
+        by = getattr(self.args, "by", "local_rh")  # analyze bins along local RH
+        if by == "local_rh":
+            return metric_vector(self.network, by, local_rh=self.local)
+        return metric_vector(self.network, by)
+
+    @cached_property
+    def n_bins(self) -> int:
+        if self.args.bins == "auto":
+            return suggest_bin_count(self.axis, self.delays)
+        return int(self.args.bins)
+
+    @cached_property
+    def binned(self) -> BinnedStats:
+        delays = self.delays  # a schedule without actual dates fails before the axis is computed
+        return bin_by_metric(self.axis, delays, self.n_bins)
+
+    @cached_property
+    def report(self) -> BenchmarkReport:
+        return benchmark_metrics(self.network, self.delays, suite=self.suite)
 
 
 def _bins_arg(text: str) -> Any:
@@ -480,98 +416,92 @@ def _manifest(
     }
 
 
-def _rh_payload(network: ActivityNetwork, local: LocalRHVector) -> dict[str, Any]:
-    order = sorted(range(network.n), key=lambda i: (-local.values[i], network.nodes[i].id))
-    return {
-        "global": local.global_score.value,
-        "local": [
-            {"id": network.nodes[i].id, "value": float(local.values[i])} for i in order
-        ],
-    }
-
-
-def _rh_csv(network: ActivityNetwork, local: LocalRHVector) -> str:
-    order = sorted(range(network.n), key=lambda i: (-local.values[i], network.nodes[i].id))
-    lines = ["id,local_rh"]
-    lines += [f"{network.nodes[i].id},{_fmt(local.values[i])}" for i in order]
-    return "\n".join(lines) + "\n"
+def _rh_rows(run: _Run) -> list[tuple[str, float]]:
+    """(id, local RH) by descending value, ties by id."""
+    nodes, values = run.network.nodes, run.local.values
+    order = sorted(range(len(nodes)), key=lambda i: (-values[i], nodes[i].id))
+    return [(nodes[i].id, float(values[i])) for i in order]
 
 
 def _metrics_csv(network: ActivityNetwork, suite: list[MetricVector]) -> str:
-    header = "id," + ",".join(vector.name for vector in suite)
-    lines = [header]
-    for i, rec in enumerate(network.nodes):
-        lines.append(rec.id + "," + ",".join(_fmt(vector.values[i]) for vector in suite))
-    return "\n".join(lines) + "\n"
+    rows = ([rec.id, *(vector.values[i] for vector in suite)] for i, rec in enumerate(network.nodes))
+    return _csv("id," + ",".join(vector.name for vector in suite), rows)
 
 
-def _bins_csv(stats: BinnedStats) -> str:
-    lines = ["bin_lo,bin_hi,count,mean,median,q25,q75,q16,q84"]
-    for b in range(stats.n_bins):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(stats.bin_edges[b]),
-                    _fmt(stats.bin_edges[b + 1]),
-                    str(int(stats.count[b])),
-                    _fmt(stats.mean[b]),
-                    _fmt(stats.median[b]),
-                    _fmt(stats.q25[b]),
-                    _fmt(stats.q75[b]),
-                    _fmt(stats.q16[b]),
-                    _fmt(stats.q84[b]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+_BIN_STATS = ("mean", "median", "q25", "q75", "q16", "q84")
 
 
-def _bins_payload(stats: BinnedStats, metric_name: str, delay_kind: str) -> dict[str, Any]:
-    bins = []
-    for b in range(stats.n_bins):
-        bins.append(
-            {
-                "lo": float(stats.bin_edges[b]),
-                "hi": float(stats.bin_edges[b + 1]),
-                "count": int(stats.count[b]),
-                "mean": _none_if_nan(stats.mean[b]),
-                "median": _none_if_nan(stats.median[b]),
-                "q25": _none_if_nan(stats.q25[b]),
-                "q75": _none_if_nan(stats.q75[b]),
-                "q16": _none_if_nan(stats.q16[b]),
-                "q84": _none_if_nan(stats.q84[b]),
-            }
-        )
-    return {"metric": metric_name, "delay": delay_kind, "bins": bins}
-
-
-def _benchmark_csv(report: BenchmarkReport, log_base: str) -> str:
-    factor = 1.0 / math.log(2.0) if log_base == "2" else 1.0
-    lines = ["metric,mi,rank"]
-    lines += [
-        f"{entry.metric},{_fmt(entry.mi * factor)},{entry.rank}" for entry in report.entries
+def _bin_rows(run: _Run) -> list[dict[str, Any]]:
+    """One dict per bin: its edges, its count and its delay statistics (NaN when empty)."""
+    stats = run.binned
+    edges = stats.bin_edges
+    return [
+        {
+            "lo": float(edges[b]),
+            "hi": float(edges[b + 1]),
+            "count": int(stats.count[b]),
+            **{name: float(getattr(stats, name)[b]) for name in _BIN_STATS},
+        }
+        for b in range(stats.n_bins)
     ]
-    return "\n".join(lines) + "\n"
 
 
-def _benchmark_payload(report: BenchmarkReport, log_base: str) -> dict[str, Any]:
-    factor = 1.0 / math.log(2.0) if log_base == "2" else 1.0
-    return {
-        "log_base": log_base,
-        "n_bins": report.n_bins,
-        "metrics": [
-            {"metric": entry.metric, "mi": entry.mi * factor, "rank": entry.rank}
-            for entry in report.entries
-        ],
-    }
+def _benchmark_rows(run: _Run) -> list[dict[str, Any]]:
+    """Metric, MI in the ``--log-base`` unit and rank, in suite order."""
+    factor = 1.0 / math.log(2.0) if run.args.log_base == "2" else 1.0
+    return [
+        {"metric": entry.metric, "mi": entry.mi * factor, "rank": entry.rank}
+        for entry in run.report.entries
+    ]
+
+
+def _tail_csv(run: _Run, which: str) -> str:
+    return tail_distribution_csv(tail_distribution(run.table, which, run.network.n))
+
+
+# Every artifact ``analyze`` writes, in writing order, by file name.
+ARTIFACTS: dict[str, Callable[[_Run], str]] = {
+    "network.json": lambda run: _json(network_to_json(run.network)),
+    "tail_descendants.csv": lambda run: _tail_csv(run, "descendants"),
+    "tail_ancestors.csv": lambda run: _tail_csv(run, "ancestors"),
+    "rh.json": lambda run: _json(
+        {
+            "global": run.local.global_score.value,
+            "local": [{"id": node_id, "value": value} for node_id, value in _rh_rows(run)],
+        }
+    ),
+    "rh.csv": lambda run: _csv("id,local_rh", _rh_rows(run)),
+    "metrics.csv": lambda run: _metrics_csv(run.network, run.suite),
+    "bins.csv": lambda run: _csv(
+        "bin_lo,bin_hi,count," + ",".join(_BIN_STATS), (row.values() for row in _bin_rows(run))
+    ),
+    "bins.json": lambda run: _json(
+        {
+            "metric": run.axis.name,
+            "delay": run.delays.kind,
+            "bins": [{key: _none_if_nan(value) for key, value in row.items()} for row in _bin_rows(run)],
+        }
+    ),
+    "benchmark.csv": lambda run: _csv("metric,mi,rank", (row.values() for row in _benchmark_rows(run))),
+    "benchmark.json": lambda run: _json(
+        {"log_base": run.args.log_base, "n_bins": run.report.n_bins, "metrics": _benchmark_rows(run)}
+    ),
+}
+
+# Artifacts that need actual dates; ``analyze`` skips them when there are none.
+DELAY_ARTIFACTS = ("bins.csv", "bins.json", "benchmark.csv", "benchmark.json")
+
+# What each subcommand writes; without ``--out`` it prints the first.
+SUBSETS = {
+    "rh": ("rh.json", "rh.csv"),
+    "metrics": ("metrics.csv",),
+    "bins": ("bins.csv", "bins.json"),
+    "benchmark": ("benchmark.csv", "benchmark.json"),
+}
 
 
 def _none_if_nan(value: Any) -> Any:
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, np.floating):
-        return _none_if_nan(float(value))
-    return value
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _fmt(value: Any) -> str:
@@ -594,18 +524,21 @@ def _digest_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_text(path: Path, text: str, artifacts: list[tuple[str, str]]) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-    artifacts.append((path.name, hashlib.sha256(text.encode("utf-8")).hexdigest()))
+def _json(payload: dict[str, Any]) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: Path, payload: dict[str, Any], artifacts: list[tuple[str, str]]) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", artifacts)
+def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:
+    """CSV text: strings as they are, numbers through :func:`_fmt`."""
+    lines = [header]
+    lines += [",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _print_artifacts(artifacts: list[tuple[str, str]], out_dir: Path) -> None:
-    for name, _ in artifacts:
-        print(f"wrote: {out_dir / name}")
+def _write(out_dir: Path, name: str, text: str) -> tuple[str, str]:
+    """Write one artifact; return its manifest entry (name, sha256)."""
+    (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    return name, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _fail(exc: Exception, code: int) -> int:

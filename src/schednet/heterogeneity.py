@@ -38,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
-from .network import ActivityNetwork
-from .reachability import descendant_bitsets, linear_topological_order
+from .network import ActivityNetwork, topological_order
+from .reachability import descendant_bitsets
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def estrada_rho(network: ActivityNetwork) -> HeterogeneityScore:
 def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     """Global reachability-heterogeneity score of a network."""
     n = network.n
-    succ = network.successor_lists
-    bits = descendant_bitsets(succ, linear_topological_order(succ))
+    bits = descendant_bitsets(network.successor_lists, topological_order(network))
     d = np.array([b.bit_count() for b in bits], dtype=np.int64)
     pair_count = int(d.sum())
     if n <= 2 or pair_count == 0:
@@ -147,7 +146,7 @@ class _ReducedReach:
         n = network.n
         self.n = n
         self.succ = network.successor_lists
-        order = linear_topological_order(self.succ)
+        order = topological_order(network)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[order] = np.arange(n)
         desc = descendant_bitsets(self.succ, order)

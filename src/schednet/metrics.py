@@ -16,7 +16,7 @@ import numpy as np
 
 from .heterogeneity import LocalRHVector, rh_local_all
 from .network import ActivityNetwork
-from .reachability import reachability_table
+from .reachability import ReachabilityTable, reachability_table
 
 METRIC_NAMES = (
     "in_degree",
@@ -49,10 +49,7 @@ class MetricVector:
 
 def degree_metrics(network: ActivityNetwork) -> tuple[MetricVector, MetricVector]:
     """In-degree and out-degree vectors."""
-    return (
-        MetricVector("in_degree", network.in_degrees().astype(np.float64)),
-        MetricVector("out_degree", network.out_degrees().astype(np.float64)),
-    )
+    return metric_vector(network, "in_degree"), metric_vector(network, "out_degree")
 
 
 def betweenness(network: ActivityNetwork) -> MetricVector:
@@ -128,6 +125,36 @@ def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricV
     return MetricVector(name, values)
 
 
+def metric_vector(
+    network: ActivityNetwork,
+    name: str,
+    *,
+    table: ReachabilityTable | None = None,
+    local_rh: LocalRHVector | None = None,
+) -> MetricVector:
+    """One metric of the suite by name, computing only what that metric needs.
+
+    ``table`` and ``local_rh`` are reused when given and computed otherwise,
+    and only for the metrics that read them.
+    """
+    if name == "betweenness":
+        return betweenness(network)
+    if name in ("closeness", "reverse_closeness"):
+        return closeness(network, reversed_edges=name == "reverse_closeness")
+    if name == "in_degree":
+        values = network.in_degrees()
+    elif name == "out_degree":
+        values = network.out_degrees()
+    elif name == "local_rh":
+        values = (local_rh or rh_local_all(network)).values
+    elif name in ("descendants", "ancestors"):
+        table = table or reachability_table(network)
+        values = table.descendant_counts if name == "descendants" else table.ancestor_counts
+    else:
+        raise ValueError(f"unknown metric {name!r}; expected one of {', '.join(METRIC_NAMES)}")
+    return MetricVector(name, np.array(values, dtype=np.float64))
+
+
 def metric_suite(
     network: ActivityNetwork, *, local_rh: LocalRHVector | None = None
 ) -> list[MetricVector]:
@@ -139,14 +166,4 @@ def metric_suite(
     table = reachability_table(network)
     if local_rh is None:
         local_rh = rh_local_all(network)
-    in_degree, out_degree = degree_metrics(network)
-    return [
-        in_degree,
-        out_degree,
-        betweenness(network),
-        closeness(network),
-        closeness(network, reversed_edges=True),
-        MetricVector("descendants", table.descendant_counts.astype(np.float64)),
-        MetricVector("ancestors", table.ancestor_counts.astype(np.float64)),
-        MetricVector("local_rh", np.array(local_rh.values, dtype=np.float64)),
-    ]
+    return [metric_vector(network, name, table=table, local_rh=local_rh) for name in METRIC_NAMES]

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .network import ActivityNetwork
+from .network import ActivityNetwork, topological_order
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class TailDistribution:
 def reachability_table(network: ActivityNetwork) -> ReachabilityTable:
     """Compute descendant/ancestor counts and the reachable-pair relation."""
     n = network.n
-    order = linear_topological_order(network.successor_lists)
+    order = topological_order(network)
     desc = descendant_bitsets(network.successor_lists, order)
     anc = descendant_bitsets(network.predecessor_lists, list(reversed(order)))
     d = np.array([b.bit_count() for b in desc], dtype=np.int64)
@@ -98,26 +98,6 @@ def tail_distribution_csv(dist: TailDistribution) -> str:
         f"{repr(float(t))},{int(c)}" for t, c in zip(dist.thresholds, dist.frequency)
     ]
     return "\n".join(lines) + "\n"
-
-
-def linear_topological_order(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Plain Kahn order over adjacency lists (no tie-breaking; sets don't need it)."""
-    n = len(succ)
-    remaining = [0] * n
-    for children in succ:
-        for j in children:
-            remaining[j] += 1
-    order = [i for i in range(n) if remaining[i] == 0]
-    head = 0
-    while head < len(order):
-        for j in succ[order[head]]:
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                order.append(j)
-        head += 1
-    if len(order) < n:
-        raise ValueError("adjacency contains a cycle")
-    return order
 
 
 def descendant_bitsets(succ: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:

@@ -11,7 +11,6 @@ File formats:
 from __future__ import annotations
 
 import csv
-import json
 from datetime import date
 from pathlib import Path
 from typing import Any, Sequence
@@ -159,13 +158,6 @@ def network_from_json(data: dict[str, Any]) -> ActivityNetwork:
     ids = [rec.id for rec in records]
     deps = [Dependency(ids[s], ids[t]) for s, t in data["edges"]]
     return build_network(records, deps)
-
-
-def write_network_json(path: str | Path, network: ActivityNetwork) -> None:
-    Path(path).write_text(
-        json.dumps(network_to_json(network), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _opt_iso(value: str | None) -> date | None:

@@ -9,6 +9,8 @@ import math
 
 import pytest
 
+import schednet.cli
+import schednet.metrics
 from schednet import load_network, metric_suite
 from schednet.cli import main
 
@@ -245,6 +247,17 @@ class TestBinsCommand:
         assert main(["bins", str(a), str(d)]) == 5
 
 
+    def test_non_rh_axis_skips_local_rh(self, tmp_path, monkeypatch):
+        a, d = synth_files(tmp_path)
+
+        def forbidden(network):
+            raise AssertionError("local RH computed for an axis that does not read it")
+
+        monkeypatch.setattr(schednet.metrics, "rh_local_all", forbidden)
+        monkeypatch.setattr(schednet.cli, "rh_local_all", forbidden)
+        assert main(["bins", str(a), str(d), "--by", "in_degree"]) == 0
+
+
 class TestBenchmarkCommand:
     def test_csv_shape(self, tmp_path, capsys):
         a, d = synth_files(tmp_path)
@@ -267,6 +280,29 @@ class TestBenchmarkCommand:
         for row_e, row_2 in zip(nats, bits):
             assert row_2["mi"] == pytest.approx(row_e["mi"] / math.log(2), rel=1e-12)
             assert row_2["rank"] == row_e["rank"]
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("rh", ["rh.json", "rh.csv"]),
+        ("metrics", ["metrics.csv"]),
+        ("bins", ["bins.csv", "bins.json"]),
+        ("benchmark", ["benchmark.csv", "benchmark.json"]),
+    ],
+)
+def test_subcommand_artifacts_match_analyze(tmp_path, capsys, command, names):
+    a, d = synth_files(tmp_path)
+    full = tmp_path / "full"
+    subset = tmp_path / command
+    assert main(["analyze", str(a), str(d), "--out", str(full)]) == 0
+    assert main([command, str(a), str(d), "--out", str(subset)]) == 0
+    assert sorted(p.name for p in subset.iterdir()) == sorted(names)
+    for name in names:
+        assert (subset / name).read_bytes() == (full / name).read_bytes()
+    capsys.readouterr()
+    assert main([command, str(a), str(d)]) == 0
+    assert capsys.readouterr().out == (full / names[0]).read_text(encoding="utf-8")
 
 
 class TestGenerate:

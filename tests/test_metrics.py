@@ -14,6 +14,7 @@ from schednet import (
     closeness,
     degree_metrics,
     metric_suite,
+    metric_vector,
     reachability_table,
     rh_local_all,
 )
@@ -132,6 +133,16 @@ class TestMetricSuite:
         first = _metrics_csv(net, metric_suite(net))
         second = _metrics_csv(net, metric_suite(net))
         assert first == second
+
+    def test_single_metric_equals_its_suite_entry(self):
+        rng = np.random.default_rng(113)
+        net = random_network(rng, n_min=10, n_max=12, ensure_edge=True)
+        for vector in metric_suite(net):
+            alone = metric_vector(net, vector.name)
+            assert alone.name == vector.name
+            assert alone.values.tobytes() == vector.values.tobytes()
+        with pytest.raises(ValueError, match="unknown metric"):
+            metric_vector(net, "pagerank")
 
     def test_metric_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
