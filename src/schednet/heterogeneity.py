@@ -94,8 +94,19 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     pair_count = int(d.sum())
     if n <= 2 or pair_count == 0:
         return HeterogeneityScore(0.0, n, pair_count)
-    reach = _unpack(_pack(bits, n), n).astype(np.float64)
-    return HeterogeneityScore(_rh_from_reach(reach, d, reach.sum(axis=0)), n, pair_count)
+    # Fill the float matrix from the packed rows in bounded chunks, so the
+    # whole n x n 0/1 unpack never exists next to it; the column sums are
+    # exact integer sums of the same chunks.
+    packed = _pack(bits, n)
+    del bits
+    reach = np.empty((n, n), dtype=np.float64)
+    a = np.zeros(n, dtype=np.int64)
+    step = max(1, _CHUNK // n)
+    for start in range(0, n, step):
+        rows = _unpack(packed[start:start + step], n)
+        reach[start:start + step] = rows
+        a += rows.sum(axis=0, dtype=np.int64)
+    return HeterogeneityScore(_rh_from_reach(reach, d, a), n, pair_count)
 
 
 def rh_local(network: ActivityNetwork, node: int) -> float:
@@ -127,6 +138,9 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
     return LocalRHVector(values, base)
 
 
+_CHUNK = 1 << 16  # matrix entries unpacked per step of a full fill
+
+
 def _normalizer(n: int) -> float:
     return n - 2.0 * math.sqrt(n - 1)
 
@@ -139,8 +153,6 @@ class _ReducedReach:
     hold reach without paths through k; every other row is the base
     closure row. Moving to k + 1 only rewrites what changes.
     """
-
-    _CHUNK = 1 << 16  # buffer entries written per step of a full refill
 
     def __init__(self, network: ActivityNetwork) -> None:
         n = network.n
@@ -221,7 +233,7 @@ class _ReducedReach:
 
     def _refill(self, k: int) -> None:
         """Write every buffer row from the base closure, in bounded chunks."""
-        step = max(1, self._CHUNK // self.n)
+        step = max(1, _CHUNK // self.n)
         for start in range(0, self.n - 1, step):
             nodes = np.arange(start, min(start + step, self.n - 1))
             nodes += nodes >= k

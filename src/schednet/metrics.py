@@ -9,7 +9,6 @@ use unit edge weights.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,43 +54,53 @@ def degree_metrics(network: ActivityNetwork) -> tuple[MetricVector, MetricVector
 def betweenness(network: ActivityNetwork) -> MetricVector:
     """Directed shortest-path betweenness, unnormalized, endpoints excluded.
 
-    Per-source breadth-first search with dependency accumulation; sources
-    are processed in ascending index order so the floating-point result is
-    reproducible.
+    Brandes' algorithm: one breadth-first search per source counts the
+    shortest paths ``sigma``, then the dependencies ``delta`` are
+    accumulated back over the visited nodes. The floating-point result is
+    fixed by the summation order, which is part of the contract: sources
+    ascend by index, each ``sigma[w]`` sums its shortest-path predecessors
+    in visit order, and each ``delta[v]`` receives its contributions in
+    reverse visit order of ``w``. The distance, path-count and dependency
+    lists are shared by all sources; after each source only the nodes it
+    visited are reset.
     """
     succ = network.successor_lists
+    pred = network.predecessor_lists
     n = network.n
-    score = np.zeros(n, dtype=np.float64)
+    score = [0.0] * n
+    dist = [-1] * n
+    sigma = [0.0] * n
+    delta = [0.0] * n
     for source in range(n):
         if not succ[source]:
             continue
-        dist: dict[int, int] = {source: 0}
-        sigma: dict[int, float] = {source: 1.0}
-        preds: dict[int, list[int]] = {source: []}
-        visited: list[int] = []
-        queue: deque[int] = deque([source])
-        while queue:
-            v = queue.popleft()
-            visited.append(v)
-            dv = dist[v]
+        dist[source] = 0
+        sigma[source] = 1.0
+        visited = [source]
+        for v in visited:  # the visit list is the queue: it grows as it is read
+            step = dist[v] + 1
             sv = sigma[v]
             for w in succ[v]:
-                if w not in dist:
-                    dist[w] = dv + 1
-                    sigma[w] = 0.0
-                    preds[w] = []
-                    queue.append(w)
-                if dist[w] == dv + 1:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = step
+                    sigma[w] = sv  # the same bits as 0.0 + sv
+                    visited.append(w)
+                elif dw == step:
                     sigma[w] += sv
-                    preds[w].append(v)
-        delta = dict.fromkeys(visited, 0.0)
-        for w in reversed(visited):
+        for w in visited[:0:-1]:
+            # Only visited nodes have dist >= 0, and w is not the source, so
+            # this keeps exactly the predecessors on w's shortest paths.
+            up = dist[w] - 1
             coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != source:
-                score[w] += delta[w]
-    return MetricVector("betweenness", score)
+            for v in pred[w]:
+                if dist[v] == up:
+                    delta[v] += sigma[v] * coeff
+            score[w] += delta[w]
+        for v in visited:
+            dist[v] = -1
+            delta[v] = 0.0
+    return MetricVector("betweenness", np.array(score, dtype=np.float64))
 
 
 def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricVector:
@@ -102,25 +111,33 @@ def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricV
     ``reversed_edges`` the same value is computed on the edge-reversed
     network (distance *to* i), which the metric suite reports as
     ``reverse_closeness``.
+
+    Each source runs a level-by-level breadth-first search. ``seen[w]``
+    holds the last source that reached w, so one list serves every source
+    without a reset, and r and the distance sum stay exact integers.
     """
     adjacency = network.predecessor_lists if reversed_edges else network.successor_lists
     n = network.n
     values = np.zeros(n, dtype=np.float64)
+    seen = [-1] * n
     for source in range(n):
-        reached = 0
-        total = 0
-        dist: dict[int, int] = {source: 0}
-        queue: deque[int] = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    reached += 1
-                    total += dist[w]
-                    queue.append(w)
-        if reached > 0:
-            values[source] = (reached / (n - 1)) * (reached / total)
+        if not adjacency[source]:
+            continue
+        seen[source] = source
+        frontier = [source]
+        reached = total = depth = 0
+        while frontier:
+            depth += 1
+            level = []
+            for v in frontier:
+                for w in adjacency[v]:
+                    if seen[w] != source:
+                        seen[w] = source
+                        level.append(w)
+            reached += len(level)
+            total += depth * len(level)
+            frontier = level
+        values[source] = (reached / (n - 1)) * (reached / total)
     name = "reverse_closeness" if reversed_edges else "closeness"
     return MetricVector(name, values)
 

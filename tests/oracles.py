@@ -3,11 +3,17 @@
 Everything here is deliberately naive: per-source DFS for reachability,
 explicit pair sums for heterogeneity, exhaustive path enumeration for
 betweenness. None of it shares code with the implementations it checks.
+
+``dict_betweenness`` and ``dict_closeness`` are the exception in kind: they
+are the earlier dict-based Brandes and BFS-closeness implementations, kept
+unchanged as the reference for the library's floating-point path. The
+library must reproduce their bytes, not merely their values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from datetime import date
 
 import numpy as np
@@ -120,6 +126,66 @@ def enumerate_betweenness(succ, n):
                 for node in path[1:-1]:
                     score[node] += 1.0 / len(geodesics)
     return score
+
+
+def dict_betweenness(network):
+    """Brandes betweenness with per-source dicts, sources in ascending order."""
+    succ = network.successor_lists
+    n = network.n
+    score = np.zeros(n, dtype=np.float64)
+    for source in range(n):
+        if not succ[source]:
+            continue
+        dist: dict[int, int] = {source: 0}
+        sigma: dict[int, float] = {source: 1.0}
+        preds: dict[int, list[int]] = {source: []}
+        visited: list[int] = []
+        queue: deque[int] = deque([source])
+        while queue:
+            v = queue.popleft()
+            visited.append(v)
+            dv = dist[v]
+            sv = sigma[v]
+            for w in succ[v]:
+                if w not in dist:
+                    dist[w] = dv + 1
+                    sigma[w] = 0.0
+                    preds[w] = []
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        delta = dict.fromkeys(visited, 0.0)
+        for w in reversed(visited):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != source:
+                score[w] += delta[w]
+    return score
+
+
+def dict_closeness(network, reversed_edges=False):
+    """Wasserman-Faust out-closeness (in-closeness when reversed) by dict BFS."""
+    adjacency = network.predecessor_lists if reversed_edges else network.successor_lists
+    n = network.n
+    values = np.zeros(n, dtype=np.float64)
+    for source in range(n):
+        reached = 0
+        total = 0
+        dist: dict[int, int] = {source: 0}
+        queue: deque[int] = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    reached += 1
+                    total += dist[w]
+                    queue.append(w)
+        if reached > 0:
+            values[source] = (reached / (n - 1)) * (reached / total)
+    return values
 
 
 def undirected_components(n, edges):

@@ -7,19 +7,46 @@ import pytest
 
 from schednet import (
     Dependency,
+    GeneratorConfig,
     METRIC_NAMES,
     MetricVector,
     betweenness,
     build_network,
     closeness,
     degree_metrics,
+    generate_dag,
     metric_suite,
     metric_vector,
     reachability_table,
     rh_local_all,
 )
 from schednet.cli import _metrics_csv
-from oracles import enumerate_betweenness, random_network
+from oracles import (
+    dict_betweenness,
+    dict_closeness,
+    enumerate_betweenness,
+    make_records,
+    random_network,
+)
+
+# the acceptance-c7 topology: n=1208, sparse and shallow
+C7 = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
+# denser and deeper: n=1560, 325k reachable pairs
+DEEP = GeneratorConfig(layer_count=40, layer_width=40, edge_probability=0.015, skip_depth=3, seed=13)
+
+
+def relabelled(net, perm):
+    """The same network with node i renamed so that it gets index ``perm[i]``."""
+    ids = [f"r{p:05d}" for p in perm]
+    return build_network(make_records(ids), [Dependency(ids[s], ids[t]) for s, t in net.edges])
+
+
+def path_metrics(net):
+    return (
+        betweenness(net).values,
+        closeness(net).values,
+        closeness(net, reversed_edges=True).values,
+    )
 
 
 class TestDegreeMetrics:
@@ -104,6 +131,86 @@ class TestCloseness:
             ours = closeness(net, reversed_edges=True).values
             direct = closeness(reversed_net).values
             assert ours == pytest.approx(direct, abs=0.0)
+
+
+class TestShortestPathFloatPath:
+    """Betweenness and closeness reproduce the dict-based reference byte for byte.
+
+    Betweenness sums floats, so its bits depend on the summation order;
+    nodes with three or more shortest-path successors are where a change of
+    order would show, and the dense schedules have many of them.
+    """
+
+    @staticmethod
+    def assert_same_bytes(net):
+        ours = path_metrics(net)
+        reference = (dict_betweenness(net), dict_closeness(net), dict_closeness(net, reversed_edges=True))
+        for name, got, want in zip(("betweenness", "closeness", "reverse_closeness"), ours, reference):
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_c7_topology(self):
+        self.assert_same_bytes(generate_dag(C7))
+
+    def test_dense_schedules(self):
+        for seed in range(24):
+            net = generate_dag(
+                GeneratorConfig(layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3, seed=seed)
+            )
+            fanout = np.array([len(children) for children in net.successor_lists])
+            assert fanout.max() >= 3
+            self.assert_same_bytes(net)
+
+    def test_random_dags_with_shuffled_ids(self):
+        rng = np.random.default_rng(127)
+        for _ in range(60):
+            net = random_network(rng, n_min=3, n_max=40)
+            self.assert_same_bytes(relabelled(net, rng.permutation(net.n)))
+
+
+class TestNetworkxOracle:
+    """Independent check against networkx at working scale.
+
+    Convention: networkx measures closeness by *incoming* distance on a
+    directed graph, so our out-closeness is networkx on ``G.reverse()``
+    and our reverse closeness is networkx on ``G``. Its ``wf_improved``
+    factor is the same Wasserman-Faust correction.
+    """
+
+    @pytest.mark.parametrize("config", [C7, DEEP], ids=["c7", "deep"])
+    def test_matches_networkx(self, config):
+        nx = pytest.importorskip("networkx")
+        net = generate_dag(config)
+        assert 1000 <= net.n <= 3000
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(net.n))
+        graph.add_edges_from(net.edges)
+
+        def column(values):
+            return np.array([values[i] for i in range(net.n)])
+
+        expected = (
+            column(nx.betweenness_centrality(graph, normalized=False, endpoints=False)),
+            column(nx.closeness_centrality(graph.reverse(), wf_improved=True)),
+            column(nx.closeness_centrality(graph, wf_improved=True)),
+        )
+        for ours, theirs in zip(path_metrics(net), expected):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0.0)
+
+
+class TestRelabelInvariance:
+    def test_scores_follow_the_nodes(self):
+        net = generate_dag(
+            GeneratorConfig(layer_count=20, layer_width=25, edge_probability=0.04, skip_depth=3, seed=17)
+        )
+        assert net.n >= 480
+        perm = np.random.default_rng(131).permutation(net.n)
+        between, close, reverse = path_metrics(net)
+        moved_between, moved_close, moved_reverse = path_metrics(relabelled(net, perm))
+        # closeness is a ratio of exact integers, so it moves with its node
+        assert moved_close[perm].tobytes() == close.tobytes()
+        assert moved_reverse[perm].tobytes() == reverse.tobytes()
+        # source order fixes the summation order of betweenness, and it changed
+        np.testing.assert_allclose(moved_between[perm], between, rtol=1e-12, atol=0.0)
 
 
 class TestMetricSuite:
