@@ -544,3 +544,7 @@ def _write(out_dir: Path, name: str, text: str) -> tuple[str, str]:
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
+
+
+if __name__ == "__main__":
+    entry()

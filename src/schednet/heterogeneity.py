@@ -31,15 +31,17 @@ subtracted from the base score, bit for bit.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
-from .network import ActivityNetwork, topological_order
-from .reachability import descendant_bitsets
+from .network import ActivityNetwork
+from .reachability import closure
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -89,23 +91,12 @@ def estrada_rho(network: ActivityNetwork) -> HeterogeneityScore:
 def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     """Global reachability-heterogeneity score of a network."""
     n = network.n
-    bits = descendant_bitsets(network.successor_lists, topological_order(network))
-    d = np.array([b.bit_count() for b in bits], dtype=np.int64)
+    _, rows, d, a = closure(network)
     pair_count = int(d.sum())
     if n <= 2 or pair_count == 0:
         return HeterogeneityScore(0.0, n, pair_count)
-    # Fill the float matrix from the packed rows in bounded chunks, so the
-    # whole n x n 0/1 unpack never exists next to it; the column sums are
-    # exact integer sums of the same chunks.
-    packed = _pack(bits, n)
-    del bits
     reach = np.empty((n, n), dtype=np.float64)
-    a = np.zeros(n, dtype=np.int64)
-    step = max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        rows = _unpack(packed[start:start + step], n)
-        reach[start:start + step] = rows
-        a += rows.sum(axis=0, dtype=np.int64)
+    _fill(reach, rows, n)
     return HeterogeneityScore(_rh_from_reach(reach, d, a), n, pair_count)
 
 
@@ -158,16 +149,10 @@ class _ReducedReach:
         n = network.n
         self.n = n
         self.succ = network.successor_lists
-        order = topological_order(network)
+        order, self.rows, self.d, self.a = closure(network)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[order] = np.arange(n)
-        desc = descendant_bitsets(self.succ, order)
-        anc = descendant_bitsets(network.predecessor_lists, order[::-1])
-        self.closed = [bits | (1 << i) for i, bits in enumerate(desc)]
-        self.desc = _pack(desc, n)
-        self.anc = _pack(anc, n)
-        self.d = np.array([bits.bit_count() for bits in desc], dtype=np.int64)
-        self.a = np.array([bits.bit_count() for bits in anc], dtype=np.int64)
+        self.closed = [int.from_bytes(row.tobytes(), "little") | (1 << i) for i, row in enumerate(self.rows)]
         self.buffer = np.empty((max(n - 1, 0),) * 2, dtype=np.float64)
         self.removed: int | None = None
         self.patched = np.empty(0, dtype=np.int64)
@@ -192,24 +177,27 @@ class _ReducedReach:
             stale[cone] = False
             stale[k] = False
             stale = np.flatnonzero(stale)
-            self._put_rows(stale, _unpack(self.desc[stale], self.n), k)
+            _put_rows(self.buffer, stale, self.rows[stale], k)
         else:
-            self._refill(k)
+            _fill(self.buffer, self.rows, k)
         rows = self._rows_avoiding(cone, k)
-        reduced = _unpack(_pack(rows, self.n), self.n)
-        self._put_rows(cone, reduced, k)
+        nbytes = self.rows.shape[1]
+        packed = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
+        reduced = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes)
+        _put_rows(self.buffer, cone, reduced, k)
         self.removed, self.patched = k, cone
 
         d = self.d.copy()
         d[cone] = [bits.bit_count() for bits in rows]
-        lost = _unpack(self.desc[cone], self.n).sum(axis=0, dtype=np.int64)
-        lost -= reduced.sum(axis=0, dtype=np.int64)
-        a = self.a - _unpack(self.desc[k], self.n) - lost
+        # Ancestor counts lose k's descendants and every pair a cone row no
+        # longer reaches; the reduced rows are subsets of the base rows.
+        lost = np.vstack((self.rows[k], self.rows[cone] ^ reduced))
+        a = self.a - np.unpackbits(lost, axis=1, count=self.n, bitorder="little").sum(axis=0, dtype=np.int64)
         return _without(d, k), _without(a, k)
 
     def _ancestors(self, k: int) -> np.ndarray:
-        """anc(k) in reverse topological order."""
-        nodes = np.flatnonzero(_unpack(self.anc[k], self.n))
+        """anc(k) in reverse topological order: the nodes whose row holds bit k."""
+        nodes = np.flatnonzero(self.rows[:, k >> 3] & (1 << (k & 7)))
         return nodes[np.argsort(-self.rank[nodes])]
 
     def _rows_avoiding(self, cone: np.ndarray, k: int) -> list[int]:
@@ -231,35 +219,29 @@ class _ReducedReach:
             rows.append(bits)
         return rows
 
-    def _refill(self, k: int) -> None:
-        """Write every buffer row from the base closure, in bounded chunks."""
-        step = max(1, _CHUNK // self.n)
-        for start in range(0, self.n - 1, step):
-            nodes = np.arange(start, min(start + step, self.n - 1))
-            nodes += nodes >= k
-            self._put_rows(nodes, _unpack(self.desc[nodes], self.n), k)
+def _fill(buffer: np.ndarray, rows: np.ndarray, k: int) -> None:
+    """Write every buffer row from the packed closure ``rows`` without row and column k.
 
-    def _put_rows(self, nodes: np.ndarray, reach: np.ndarray, k: int) -> None:
-        """Write full-width 0/1 rows of ``nodes`` into the buffer, dropping column k."""
-        at = nodes - (nodes > k)
-        self.buffer[at, :k] = reach[:, :k]
-        self.buffer[at, k:] = reach[:, k + 1:]
+    ``k = len(rows)`` drops nothing. Rows are unpacked in bounded chunks, so
+    the whole 0/1 matrix never exists next to the buffer.
+    """
+    step = max(1, _CHUNK // len(rows))
+    for start in range(0, len(buffer), step):
+        nodes = np.arange(start, min(start + step, len(buffer)))
+        nodes += nodes >= k
+        _put_rows(buffer, nodes, rows[nodes], k)
+
+
+def _put_rows(buffer: np.ndarray, nodes: np.ndarray, packed: np.ndarray, k: int) -> None:
+    """Write the packed rows of ``nodes`` into ``buffer`` as 0/1 floats, without row and column k."""
+    reach = np.unpackbits(packed, axis=1, bitorder="little")
+    at = nodes - (nodes > k)
+    buffer[at, :k] = reach[:, :k]
+    buffer[at, k:] = reach[:, k + 1:len(buffer) + 1]
 
 
 def _without(values: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((values[:k], values[k + 1:]))
-
-
-def _pack(bitsets: Sequence[int], n: int) -> np.ndarray:
-    """Bitsets over n nodes as rows of little-endian bytes."""
-    nbytes = (n + 7) // 8
-    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in bitsets)
-    return np.frombuffer(packed, dtype=np.uint8).reshape(len(bitsets), nbytes)
-
-
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    """0/1 uint8 rows of length n from :func:`_pack` rows."""
-    return np.unpackbits(packed, axis=-1, bitorder="little", count=n)
 
 
 def _rh_from_reach(reach: np.ndarray, d: np.ndarray, a: np.ndarray) -> float:
@@ -284,5 +266,6 @@ def _rh_from_reach(reach: np.ndarray, d: np.ndarray, a: np.ndarray) -> float:
     cross = float(u @ (reach @ w))
     raw = sources + targets - 2.0 * cross
     if raw < 0.0:  # cancellation noise on near-homogeneous graphs
+        logger.debug("clamped RH raw sum %r to 0 at n=%d", raw, n)
         raw = 0.0
     return raw / _normalizer(n)

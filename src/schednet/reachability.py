@@ -1,9 +1,9 @@
 """Descendant/ancestor reachability for activity networks.
 
 A node j is a descendant of i when a directed path of length >= 1 leads
-from i to j (a node is never its own descendant). Descendant sets are
-accumulated as bit-packed integers in reverse topological order, which
-keeps exact counts cheap even for thousands of nodes.
+from i to j (a node is never its own descendant). :func:`closure` is the
+one place the transitive closure is built; the reachability table and
+every RH score read from it.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ class ReachabilityTable:
     descendant_counts: np.ndarray
     ancestor_counts: np.ndarray
     pair_count: int
-    _descendant_bits: tuple[int, ...] = field(repr=False)
+    _rows: np.ndarray = field(repr=False)
 
     @property
     def reachable_pairs(self) -> Iterator[tuple[int, int]]:
         """All ordered pairs (i, j) with j a proper descendant of i, each exactly once."""
-        for i, bits in enumerate(self._descendant_bits):
-            while bits:
-                low = bits & -bits
-                yield i, low.bit_length() - 1
-                bits ^= low
+        for i, row in enumerate(self._rows):
+            for j in np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist():
+                yield i, j
 
 
 @dataclass(frozen=True)
@@ -48,15 +46,37 @@ class TailDistribution:
 
 def reachability_table(network: ActivityNetwork) -> ReachabilityTable:
     """Compute descendant/ancestor counts and the reachable-pair relation."""
+    _, rows, d, a = closure(network)
+    return ReachabilityTable(d, a, int(d.sum()), rows)
+
+
+def closure(network: ActivityNetwork) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The transitive closure as (topological order, packed rows, d, a).
+
+    Row i of the uint8 ``rows`` holds the proper descendants of i as
+    little-endian bits: node j is bit ``j & 7`` of byte ``j >> 3``. ``d``
+    and ``a`` are the exact descendant and ancestor counts, read-only.
+    Reach sets are accumulated as Python-int bitsets, ancestors along the
+    order and descendants against it, so every neighbour's set is final
+    before it is folded in.
+    """
     n = network.n
     order = topological_order(network)
-    desc = descendant_bitsets(network.successor_lists, order)
-    anc = descendant_bitsets(network.predecessor_lists, list(reversed(order)))
-    d = np.array([b.bit_count() for b in desc], dtype=np.int64)
-    a = np.array([b.bit_count() for b in anc], dtype=np.int64)
-    d.setflags(write=False)
-    a.setflags(write=False)
-    return ReachabilityTable(d, a, int(d.sum()), tuple(desc))
+    counts = []
+    # ancestors first, so only the descendant bitsets are alive when packed
+    for adjacency, sequence in ((network.predecessor_lists, order), (network.successor_lists, order[::-1])):
+        reach = [0] * n
+        for i in sequence:
+            bits = 0
+            for j in adjacency[i]:
+                bits |= reach[j] | (1 << j)
+            reach[i] = bits
+        counts.append(np.array([bits.bit_count() for bits in reach], dtype=np.int64))
+        counts[-1].setflags(write=False)
+    a, d = counts
+    nbytes = (n + 7) // 8
+    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in reach)
+    return order, np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes), d, a
 
 
 def tail_distribution(
@@ -98,18 +118,3 @@ def tail_distribution_csv(dist: TailDistribution) -> str:
         f"{repr(float(t))},{int(c)}" for t, c in zip(dist.thresholds, dist.frequency)
     ]
     return "\n".join(lines) + "\n"
-
-
-def descendant_bitsets(succ: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:
-    """Per-node reachable-set bitmasks, accumulated against a topological order.
-
-    ``order`` must topologically sort ``succ``; iterating it backwards
-    guarantees every successor's set is final before it is folded in.
-    """
-    reach = [0] * len(succ)
-    for i in reversed(order):
-        bits = 0
-        for j in succ[i]:
-            bits |= reach[j] | (1 << j)
-        reach[i] = bits
-    return reach

@@ -6,6 +6,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,36 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "no.csv"), str(tmp_path / "no2.csv")]) == 2
+
+
+@pytest.mark.parametrize("module", ["schednet", "schednet.cli"])
+class TestPythonDashM:
+    """``python -m schednet`` and ``python -m schednet.cli`` run the command line."""
+
+    @staticmethod
+    def run(module, *args, cwd):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_version(self, module, tmp_path):
+        result = self.run(module, "--version", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "schednet 0.1.0"
+
+    def test_cycle_exits_3(self, module, tmp_path):
+        (tmp_path / "a.csv").write_text(ACTIVITIES, encoding="utf-8")
+        (tmp_path / "d.csv").write_text("predecessor,successor\na,b\nb,a\n", encoding="utf-8")
+        result = self.run(module, "validate", "a.csv", "d.csv", cwd=tmp_path)
+        assert result.returncode == 3
+        assert "cycle" in result.stderr
 
 
 class TestAnalyze:

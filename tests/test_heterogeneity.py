@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schednet import (
     ActivityNetwork,
@@ -42,6 +46,23 @@ def without_node(net, v):
     nodes = [rec for i, rec in enumerate(net.nodes) if i != v]
     edges = [(s - (s > v), t - (t > v)) for s, t in net.edges if v not in (s, t)]
     return ActivityNetwork(nodes, edges)
+
+
+@st.composite
+def dags(draw):
+    """A DAG on 3-12 nodes whose index order is shuffled against its edges."""
+    n = draw(st.integers(3, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ids = [f"h{p:02d}" for p in draw(st.permutations(range(n)))]
+    return make_network(ids, [(ids[i], ids[j]) for (i, j), k in zip(pairs, keep) if k])
+
+
+def with_edges(net, pairs):
+    """``net`` plus the edges ``pairs``, given as node indices."""
+    ids = net.node_ids
+    edges = list(net.edges) + list(pairs)
+    return build_network(list(net.nodes), [Dependency(ids[s], ids[t]) for s, t in edges])
 
 
 def scale_network():
@@ -128,6 +149,41 @@ class TestRhGlobal:
             assert rh_global(reversed_net).value == pytest.approx(
                 rh_global(net).value, abs=1e-12
             )
+
+    def test_clamped_cancellation_is_logged(self, caplog):
+        # K3,3 is homogeneous; its expanded raw sum cancels to about -1.8e-15
+        a, b = ["a0", "a1", "a2"], ["b0", "b1", "b2"]
+        net = make_network(a + b, [(s, t) for s in a for t in b])
+        with caplog.at_level(logging.DEBUG, logger="schednet.heterogeneity"):
+            assert rh_global(net).value == 0.0
+        assert len(caplog.records) == 1
+        assert "n=6" in caplog.records[0].getMessage()
+
+
+class TestClosureProperties:
+    """RH depends on the network only through its transitive closure."""
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(dags(), st.data())
+    def test_implied_edge_changes_nothing(self, net, data):
+        # global RH only: an implied edge can bypass a removed node, so local
+        # RH may change
+        edges = set(net.edges)
+        implied = [pair for pair in reachability_table(net).reachable_pairs if pair not in edges]
+        assume(implied)
+        grown = with_edges(net, [data.draw(st.sampled_from(implied))])
+        before, after = reachability_table(net), reachability_table(grown)
+        assert after.descendant_counts.tolist() == before.descendant_counts.tolist()
+        assert after.ancestor_counts.tolist() == before.ancestor_counts.tolist()
+        assert rh_global(grown).value == rh_global(net).value
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(dags())
+    def test_estrada_of_closure_is_rh(self, net):
+        # on the closure, degrees become descendant and ancestor counts
+        edges = set(net.edges)
+        closed = with_edges(net, [p for p in reachability_table(net).reachable_pairs if p not in edges])
+        assert estrada_rho(closed).value == pytest.approx(rh_global(net).value, rel=1e-12, abs=1e-12)
 
 
 class TestRhLocal:

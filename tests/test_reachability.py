@@ -5,8 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schednet import build_network, Dependency, reachability_table, tail_distribution, tail_distribution_csv
-from oracles import dfs_reachable_sets, random_network
+from schednet import (
+    Dependency,
+    GeneratorConfig,
+    build_network,
+    generate_dag,
+    reachability_table,
+    rh_global,
+    tail_distribution,
+    tail_distribution_csv,
+)
+from oracles import dfs_reachable_sets, random_network, reversed_adjacency, rh_from_pair_sum
+
+WORKING_SCALE = {
+    # the acceptance-c7 topology: n=1208, 15,834 reachable pairs
+    "c7": GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7),
+    # the same grid, dense: n=1357, 5211 edges, 745,371 reachable pairs
+    "dense": GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.06, skip_depth=2, seed=7),
+}
 
 
 class TestReachabilityTable:
@@ -90,6 +106,31 @@ class TestReachabilityTable:
             succ = net.successor_lists
             if not any(succ[t] for s, t in net.edges):
                 assert table.pair_count == len(net.edges)
+
+
+@pytest.fixture(scope="module", params=sorted(WORKING_SCALE))
+def scale_net(request):
+    return generate_dag(WORKING_SCALE[request.param])
+
+
+class TestWorkingScale:
+    """The closure and global RH against the brute-force oracles at n > 1000."""
+
+    def test_reach_relation_matches_dfs_oracle(self, scale_net):
+        net = scale_net
+        desc = dfs_reachable_sets(net.successor_lists)
+        anc = dfs_reachable_sets(reversed_adjacency(net.successor_lists))
+        table = reachability_table(net)
+        assert net.n > 1000
+        assert list(table.reachable_pairs) == [(i, j) for i in range(net.n) for j in sorted(desc[i])]
+        assert table.descendant_counts.tolist() == [len(s) for s in desc]
+        assert table.ancestor_counts.tolist() == [len(s) for s in anc]
+
+    def test_rh_cancellation_error_is_bounded(self, scale_net):
+        # the expansion trick cancels O(n) terms; measured 5.9e-15 (c7) and
+        # 1.9e-14 (dense), so a growing error shows before it matters
+        expected = rh_from_pair_sum(scale_net.successor_lists, scale_net.n)
+        assert rh_global(scale_net).value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestTailDistribution:
