@@ -271,6 +271,8 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
     raw: dict[str, Any] = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
     width_text = str(raw.get("layer_width", args.width))
     width: int | tuple[int, ...]
     if "," in width_text:

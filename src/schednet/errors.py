@@ -85,4 +85,9 @@ class DegenerateNormalization(SchednetError):
 
 
 class DegenerateMetricWarning(UserWarning):
-    """All metric values are identical; binning collapses to a single bin."""
+    """A variable is constant, so its statistics carry no information.
+
+    Emitted when all metric values are identical (binning collapses to a
+    single bin) and when every valid delay is equal (every mutual
+    information is zero and benchmark ranks only sort metric names).
+    """

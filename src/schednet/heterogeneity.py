@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
-from .network import ActivityNetwork
+from .network import ActivityNetwork, topological_order
 from .reachability import closure
 
 logger = logging.getLogger(__name__)
@@ -53,7 +53,7 @@ class HeterogeneityScore:
     pair_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalRHVector:
     """Per-node local RH scores, aligned to node index order."""
 
@@ -91,13 +91,13 @@ def estrada_rho(network: ActivityNetwork) -> HeterogeneityScore:
 def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     """Global reachability-heterogeneity score of a network."""
     n = network.n
-    _, rows, d, a = closure(network)
-    pair_count = int(d.sum())
-    if n <= 2 or pair_count == 0:
-        return HeterogeneityScore(0.0, n, pair_count)
+    table = closure(network)
+    if n <= 2 or table.pair_count == 0:
+        return HeterogeneityScore(0.0, n, table.pair_count)
     reach = np.empty((n, n), dtype=np.float64)
-    _fill(reach, rows, n)
-    return HeterogeneityScore(_rh_from_reach(reach, d, a), n, pair_count)
+    _fill(reach, table._rows, n)
+    value = _rh_from_reach(reach, table.descendant_counts, table.ancestor_counts)
+    return HeterogeneityScore(value, n, table.pair_count)
 
 
 def rh_local(network: ActivityNetwork, node: int) -> float:
@@ -149,9 +149,9 @@ class _ReducedReach:
         n = network.n
         self.n = n
         self.succ = network.successor_lists
-        order, self.rows, self.d, self.a = closure(network)
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[order] = np.arange(n)
+        table = closure(network)
+        self.rows, self.d, self.a = table._rows, table.descendant_counts, table.ancestor_counts
+        self.rank = np.argsort(topological_order(network))  # rank[order[r]] = r
         self.closed = [int.from_bytes(row.tobytes(), "little") | (1 << i) for i, row in enumerate(self.rows)]
         self.buffer = np.empty((max(n - 1, 0),) * 2, dtype=np.float64)
         self.removed: int | None = None

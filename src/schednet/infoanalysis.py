@@ -14,19 +14,20 @@ metric in the suite against a delay vector and ranks the results.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import uniform_bin_indices
-from .errors import InsufficientData
+from .errors import DegenerateMetricWarning, InsufficientData
 from .heterogeneity import LocalRHVector
 from .metrics import MetricVector, metric_suite
 from .network import ActivityNetwork
 from .performance import DelayVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyMatrix:
     """Joint histogram of (metric, delay) with marginals."""
 
@@ -139,8 +140,17 @@ def benchmark_metrics(
 
     A precomputed ``suite`` (or ``local_rh``) avoids recomputing the
     expensive vectors. All matrices share one bin count derived from the
-    number of delay-valid nodes.
+    number of delay-valid nodes. When every valid delay is equal, every MI
+    is zero and the ranks only sort metric names, so
+    :class:`DegenerateMetricWarning` is emitted.
     """
+    distinct = np.unique(delays.valid_values())
+    if len(distinct) == 1:
+        warnings.warn(
+            f"every valid {delays.kind} delay is {distinct[0]} days; all mutual information is 0",
+            DegenerateMetricWarning,
+            stacklevel=2,
+        )
     if suite is None:
         suite = metric_suite(network, local_rh=local_rh)
     n_bins = default_bin_count(int(np.count_nonzero(delays.valid)))

@@ -29,7 +29,7 @@ METRIC_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricVector:
     """Named per-node metric values, aligned to network node order."""
 

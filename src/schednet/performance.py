@@ -22,7 +22,7 @@ from .network import ActivityNetwork
 QUANTILE_LEVELS = (16, 25, 50, 75, 84)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayVector:
     """Per-node delays in integer days with a validity mask."""
 
@@ -38,7 +38,7 @@ class DelayVector:
         return self.days[self.valid]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedStats:
     """Per-bin delay statistics over equal-width metric bins.
 

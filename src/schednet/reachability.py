@@ -2,8 +2,8 @@
 
 A node j is a descendant of i when a directed path of length >= 1 leads
 from i to j (a node is never its own descendant). :func:`closure` is the
-one place the transitive closure is built; the reachability table and
-every RH score read from it.
+one place the transitive closure is built, once per network; the
+reachability table and every RH score read that one instance.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .network import ActivityNetwork, topological_order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachabilityTable:
     """Exact per-node descendant and ancestor counts plus the reachable-pair relation."""
 
@@ -33,7 +33,7 @@ class ReachabilityTable:
                 yield i, j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailDistribution:
     """Reverse cumulative frequency of reach fractions.
 
@@ -46,37 +46,39 @@ class TailDistribution:
 
 def reachability_table(network: ActivityNetwork) -> ReachabilityTable:
     """Compute descendant/ancestor counts and the reachable-pair relation."""
-    _, rows, d, a = closure(network)
-    return ReachabilityTable(d, a, int(d.sum()), rows)
+    return closure(network)
 
 
-def closure(network: ActivityNetwork) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The transitive closure as (topological order, packed rows, d, a).
+def closure(network: ActivityNetwork) -> ReachabilityTable:
+    """The network's transitive closure, built on first use and kept.
 
-    Row i of the uint8 ``rows`` holds the proper descendants of i as
-    little-endian bits: node j is bit ``j & 7`` of byte ``j >> 3``. ``d``
-    and ``a`` are the exact descendant and ancestor counts, read-only.
-    Reach sets are accumulated as Python-int bitsets, ancestors along the
+    Row i of the uint8 ``_rows`` holds the proper descendants of i as
+    little-endian bits: node j is bit ``j & 7`` of byte ``j >> 3``. Rows
+    and the exact descendant and ancestor counts are read-only. Reach sets
+    are accumulated as Python-int bitsets, ancestors along the topological
     order and descendants against it, so every neighbour's set is final
     before it is folded in.
     """
-    n = network.n
-    order = topological_order(network)
-    counts = []
-    # ancestors first, so only the descendant bitsets are alive when packed
-    for adjacency, sequence in ((network.predecessor_lists, order), (network.successor_lists, order[::-1])):
-        reach = [0] * n
-        for i in sequence:
-            bits = 0
-            for j in adjacency[i]:
-                bits |= reach[j] | (1 << j)
-            reach[i] = bits
-        counts.append(np.array([bits.bit_count() for bits in reach], dtype=np.int64))
-        counts[-1].setflags(write=False)
-    a, d = counts
-    nbytes = (n + 7) // 8
-    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in reach)
-    return order, np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes), d, a
+    if network._closure is None:
+        n = network.n
+        order = topological_order(network)
+        counts = []
+        # ancestors first, so only the descendant bitsets are alive when packed
+        for adjacency, sequence in ((network.predecessor_lists, order), (network.successor_lists, order[::-1])):
+            reach = [0] * n
+            for i in sequence:
+                bits = 0
+                for j in adjacency[i]:
+                    bits |= reach[j] | (1 << j)
+                reach[i] = bits
+            counts.append(np.array([bits.bit_count() for bits in reach], dtype=np.int64))
+            counts[-1].setflags(write=False)
+        a, d = counts
+        nbytes = (n + 7) // 8
+        packed = b"".join(bits.to_bytes(nbytes, "little") for bits in reach)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes)
+        network._closure = ReachabilityTable(d, a, int(d.sum()), rows)
+    return network._closure
 
 
 def tail_distribution(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from datetime import date
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import ScheduleParseError
 from .network import ActivityNetwork, ActivityRecord, Dependency, build_network, prune_isolated
@@ -26,42 +26,38 @@ def read_activities(path: str | Path) -> list[ActivityRecord]:
     """Parse an activities CSV file.
 
     Raises:
-        ScheduleParseError: malformed header, row, date or duplicate id;
-            the error carries the 1-based line number.
+        ScheduleParseError: text that is not UTF-8, a field over the CSV
+            size limit, or a malformed header, row, date or duplicate id;
+            the error carries the 1-based line number when it is known.
     """
     path = Path(path)
     records: list[ActivityRecord] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        _expect_header(reader, ACTIVITY_FIELDS, path)
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            if len(row) != len(ACTIVITY_FIELDS):
-                raise ScheduleParseError(
-                    f"expected {len(ACTIVITY_FIELDS)} fields, got {len(row)}",
-                    path=str(path),
-                    line=line,
-                )
-            raw = dict(zip(ACTIVITY_FIELDS, (cell.strip() for cell in row)))
-            if raw["id"] in seen:
-                raise ScheduleParseError(
-                    f"duplicate activity id {raw['id']!r}", path=str(path), line=line
-                )
-            try:
-                record = ActivityRecord(
-                    id=raw["id"],
-                    name=raw["name"],
-                    planned_start=_parse_date(raw["planned_start"], "planned_start"),
-                    planned_end=_parse_date(raw["planned_end"], "planned_end"),
-                    actual_start=_parse_optional_date(raw["actual_start"], "actual_start"),
-                    actual_end=_parse_optional_date(raw["actual_end"], "actual_end"),
-                )
-            except ValueError as exc:
-                raise ScheduleParseError(str(exc), path=str(path), line=line) from exc
-            seen.add(record.id)
-            records.append(record)
+    for line, row in _data_rows(path, ACTIVITY_FIELDS):
+        if len(row) != len(ACTIVITY_FIELDS):
+            raise ScheduleParseError(
+                f"expected {len(ACTIVITY_FIELDS)} fields, got {len(row)}",
+                path=str(path),
+                line=line,
+            )
+        raw = dict(zip(ACTIVITY_FIELDS, (cell.strip() for cell in row)))
+        if raw["id"] in seen:
+            raise ScheduleParseError(
+                f"duplicate activity id {raw['id']!r}", path=str(path), line=line
+            )
+        try:
+            record = ActivityRecord(
+                id=raw["id"],
+                name=raw["name"],
+                planned_start=_parse_date(raw["planned_start"], "planned_start"),
+                planned_end=_parse_date(raw["planned_end"], "planned_end"),
+                actual_start=_parse_optional_date(raw["actual_start"], "actual_start"),
+                actual_end=_parse_optional_date(raw["actual_end"], "actual_end"),
+            )
+        except ValueError as exc:
+            raise ScheduleParseError(str(exc), path=str(path), line=line) from exc
+        seen.add(record.id)
+        records.append(record)
     return records
 
 
@@ -72,29 +68,29 @@ def read_dependencies(
 
     When ``known_ids`` is given, every referenced id is checked against it
     so unknown ids are reported with their line number.
+
+    Raises:
+        ScheduleParseError: text that is not UTF-8, a field over the CSV
+            size limit, a malformed header or row, or an empty or unknown
+            id; with the 1-based line number when it is known.
     """
     path = Path(path)
     deps: list[Dependency] = []
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        _expect_header(reader, DEPENDENCY_FIELDS, path)
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ScheduleParseError(
-                    f"expected 2 fields, got {len(row)}", path=str(path), line=line
-                )
-            predecessor, successor = (cell.strip() for cell in row)
-            if not predecessor or not successor:
-                raise ScheduleParseError("empty activity id", path=str(path), line=line)
-            if known_ids is not None:
-                for node_id in (predecessor, successor):
-                    if node_id not in known_ids:
-                        raise ScheduleParseError(
-                            f"unknown activity id {node_id!r}", path=str(path), line=line
-                        )
-            deps.append(Dependency(predecessor, successor))
+    for line, row in _data_rows(path, DEPENDENCY_FIELDS):
+        if len(row) != 2:
+            raise ScheduleParseError(
+                f"expected 2 fields, got {len(row)}", path=str(path), line=line
+            )
+        predecessor, successor = (cell.strip() for cell in row)
+        if not predecessor or not successor:
+            raise ScheduleParseError("empty activity id", path=str(path), line=line)
+        if known_ids is not None:
+            for node_id in (predecessor, successor):
+                if node_id not in known_ids:
+                    raise ScheduleParseError(
+                        f"unknown activity id {node_id!r}", path=str(path), line=line
+                    )
+        deps.append(Dependency(predecessor, successor))
     return deps
 
 
@@ -175,6 +171,27 @@ def _parse_date(text: str, field: str) -> date:
 
 def _parse_optional_date(text: str, field: str) -> date | None:
     return _parse_date(text, field) if text else None
+
+
+def _data_rows(path: Path, fields: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of every nonblank row below a schedule CSV's header.
+
+    Raises:
+        ScheduleParseError: the header differs from ``fields``, the file is
+            not UTF-8 text, or a row breaks the CSV reader (a field over its
+            size limit, say); the latter carries the line the reader was on.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            _expect_header(reader, fields, path)
+            for line, row in enumerate(reader, start=2):
+                if row and (len(row) > 1 or row[0].strip()):
+                    yield line, row
+        except UnicodeDecodeError as exc:
+            raise ScheduleParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from exc
+        except csv.Error as exc:
+            raise ScheduleParseError(str(exc), path=str(path), line=reader.line_num) from exc
 
 
 def _expect_header(reader: Any, expected: Sequence[str], path: Path) -> None:

@@ -4,18 +4,33 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import schednet.cli
 import schednet.metrics
-from schednet import load_network, metric_suite
+import schednet.network
+import schednet.reachability
+from schednet import (
+    Dependency,
+    GeneratorConfig,
+    NoiseSpec,
+    PropagationConfig,
+    generate_dag,
+    load_network,
+    metric_suite,
+    simulate_delays,
+    write_activities,
+    write_dependencies,
+)
 from schednet.cli import main
 
 ACTIVITIES = """id,name,planned_start,planned_end,actual_start,actual_end
@@ -122,6 +137,17 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "no.csv"), str(tmp_path / "no2.csv")]) == 2
 
+    @pytest.mark.parametrize("row", [b"\xff,x\n", b'"' + b"x" * 131_073 + b'",y\n'], ids=["undecodable", "oversized"])
+    @pytest.mark.parametrize("broken", ["activities", "dependencies"])
+    def test_unreadable_file_exits_2(self, schedule_files, capsys, broken, row):
+        a, d = schedule_files
+        path = a if broken == "activities" else d
+        path.write_bytes(path.read_bytes() + row)
+        assert main(["validate", str(a), str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("module", ["schednet", "schednet.cli"])
 class TestPythonDashM:
@@ -151,6 +177,40 @@ class TestPythonDashM:
         result = self.run(module, "validate", "a.csv", "d.csv", cwd=tmp_path)
         assert result.returncode == 3
         assert "cycle" in result.stderr
+
+
+NUMPY_ONLY = """
+import sys
+
+allowed = set(sys.stdlib_module_names) | {"numpy", "schednet"}
+
+
+class RefuseThirdParty:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in allowed:
+            raise ModuleNotFoundError(f"refused import of {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseThirdParty())
+from schednet import cli
+
+sys.exit(cli.main(["analyze", *sys.argv[1:]]))
+"""
+
+
+def test_analyze_imports_nothing_but_numpy_and_the_standard_library(schedule_files, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, *map(str, schedule_files), "--out", str(tmp_path / "out")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestAnalyze:
@@ -194,6 +254,33 @@ class TestAnalyze:
         main(["analyze", str(a), str(d), "--out", str(out2)])
         for path in sorted(out1.iterdir()):
             assert path.read_bytes() == (out2 / path.name).read_bytes()
+
+    def test_c7_sorts_once_and_builds_one_closure(self, tmp_path, monkeypatch):
+        config = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
+        network = simulate_delays(
+            generate_dag(config), PropagationConfig(slack_days=0), NoiseSpec.two_point(0.15, 10), seed=3
+        )
+        a, d = tmp_path / "activities.csv", tmp_path / "dependencies.csv"
+        write_activities(a, network.nodes)
+        write_dependencies(d, [Dependency(network.nodes[s].id, network.nodes[t].id) for s, t in network.edges])
+
+        counts = {"sorts": 0, "closures": 0}
+
+        def heapify(heap):  # once per topological sort
+            counts["sorts"] += 1
+            heapq.heapify(heap)
+
+        def table(*fields):  # once per closure build
+            counts["closures"] += 1
+            return table_type(*fields)
+
+        table_type = schednet.reachability.ReachabilityTable
+        monkeypatch.setattr(
+            schednet.network, "heapq", SimpleNamespace(heapify=heapify, heappop=heapq.heappop, heappush=heapq.heappush)
+        )
+        monkeypatch.setattr(schednet.reachability, "ReachabilityTable", table)
+        assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
+        assert counts == {"sorts": 1, "closures": 1}
 
     def test_missing_actuals_skips_performance_outputs(self, tmp_path, capsys, caplog):
         a = tmp_path / "a.csv"
@@ -400,7 +487,7 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["{not json", '{"layer_count": [3]}'])
+    @pytest.mark.parametrize("text", ["{not json", '{"layer_count": [3]}', "[1, 2]", '"x"'])
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(text, encoding="utf-8")

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from schednet import (
+    DegenerateMetricWarning,
     FrequencyMatrix,
     InsufficientData,
+    METRIC_NAMES,
     MetricVector,
     benchmark_metrics,
     default_bin_count,
@@ -180,3 +183,24 @@ class TestBenchmark:
         assert [(e.metric, e.mi, e.rank) for e in direct.entries] == [
             (e.metric, e.mi, e.rank) for e in reused.entries
         ]
+
+    def test_constant_delays_warn_and_zero_every_mi(self):
+        net = random_network(np.random.default_rng(193), n_min=10, n_max=12, ensure_edge=True)
+        valid = np.ones(net.n, dtype=bool)
+        valid[0] = False  # a masked delay does not count toward the check
+        days = np.full(net.n, 4)
+        days[0] = -7
+        with pytest.warns(DegenerateMetricWarning, match="every valid start delay is 4 days"):
+            report = benchmark_metrics(net, DelayVector(days, valid))
+        assert [e.mi for e in report.entries] == [0.0] * 8
+        assert [e.rank for e in report.entries] == [
+            sorted(METRIC_NAMES).index(e.metric) + 1 for e in report.entries
+        ]
+
+    def test_varying_delays_do_not_warn(self):
+        net = random_network(np.random.default_rng(197), n_min=10, n_max=12, ensure_edge=True)
+        days = np.zeros(net.n, dtype=np.int64)
+        days[-1] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateMetricWarning)
+            benchmark_metrics(net, DelayVector(days, np.ones(net.n, dtype=bool)))

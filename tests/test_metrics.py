@@ -7,10 +7,12 @@ import pytest
 
 from schednet import (
     Dependency,
+    FrequencyMatrix,
     GeneratorConfig,
     METRIC_NAMES,
     MetricVector,
     betweenness,
+    bin_by_metric,
     build_network,
     closeness,
     degree_metrics,
@@ -19,12 +21,16 @@ from schednet import (
     metric_vector,
     reachability_table,
     rh_local_all,
+    tail_distribution,
+    weakly_connected_components,
 )
 from schednet.cli import _metrics_csv
+from schednet.performance import DelayVector
 from oracles import (
     dict_betweenness,
     dict_closeness,
     enumerate_betweenness,
+    make_network,
     make_records,
     random_network,
 )
@@ -254,3 +260,33 @@ class TestMetricSuite:
     def test_metric_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
             MetricVector("broken", np.array([1.0, np.nan]))
+
+
+def _diamond():
+    return make_network("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+
+
+def _delays():
+    return DelayVector(np.array([1, 2, 3, 4]), np.ones(4, dtype=bool))
+
+
+RESULT_TYPES = {
+    "ReachabilityTable": lambda: reachability_table(_diamond()),
+    "LocalRHVector": lambda: rh_local_all(_diamond()),
+    "MetricVector": lambda: MetricVector("m", [0.0, 1.0, 2.0]),
+    "TailDistribution": lambda: tail_distribution(reachability_table(_diamond())),
+    "DelayVector": _delays,
+    "BinnedStats": lambda: bin_by_metric(MetricVector("m", [0.0, 1.0, 2.0, 3.0]), _delays(), 2),
+    "FrequencyMatrix": lambda: FrequencyMatrix.from_counts(np.array([[1, 2], [3, 4]])),
+    "ComponentSummary": lambda: weakly_connected_components(_diamond()),
+}
+
+
+@pytest.mark.parametrize("name, make", RESULT_TYPES.items(), ids=list(RESULT_TYPES))
+def test_array_holding_results_compare_by_identity_and_hash(name, make):
+    first, second = make(), make()
+    assert type(first).__name__ == name
+    assert first is not second
+    assert first != second
+    assert first == first
+    assert hash(first) == hash(first) != hash(second)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from schednet import (
+    ActivityNetwork,
     ActivityRecord,
     CycleDetected,
     Dependency,
@@ -18,6 +19,7 @@ from schednet import (
     UnknownActivityId,
     build_network,
     prune_isolated,
+    reachability_table,
     topological_order,
     weakly_connected_components,
 )
@@ -175,3 +177,18 @@ class TestTopologicalOrder:
             position = {node: k for k, node in enumerate(topological_order(net))}
             for s, t in net.edges:
                 assert position[s] < position[t]
+
+    def test_mutating_the_returned_order_leaves_the_next_call_intact(self, diamond):
+        order = topological_order(diamond)
+        order.reverse()
+        order.append(99)
+        assert topological_order(diamond) == [0, 1, 2, 3]
+        assert topological_order(diamond) is not topological_order(diamond)
+
+    @pytest.mark.parametrize("compute", [topological_order, reachability_table])
+    def test_cycle_built_directly_raises_on_every_call(self, compute):
+        cyclic = ActivityNetwork(make_records("abc"), [(0, 1), (1, 2), (2, 0)])
+        for _ in range(2):
+            with pytest.raises(CycleDetected) as info:
+                compute(cyclic)
+            assert sorted(info.value.cycle) == ["a", "b", "c"]

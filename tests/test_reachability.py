@@ -26,6 +26,9 @@ WORKING_SCALE = {
 
 
 class TestReachabilityTable:
+    def test_one_table_per_network(self, diamond):
+        assert reachability_table(diamond) is reachability_table(diamond)
+
     def test_path(self, path3):
         table = reachability_table(path3)
         assert list(table.descendant_counts) == [2, 1, 0]

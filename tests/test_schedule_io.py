@@ -100,6 +100,30 @@ class TestReadDependencies:
         assert read_dependencies(write(tmp_path, "bom.csv", "\ufeff" + DEPENDENCY_CSV)) == plain
 
 
+# rows no CSV reader can take: bytes that are not UTF-8, and a quoted field
+# one character over the csv module's default field size limit
+UNREADABLE_ROWS = {
+    "undecodable": b"\xff\xfe,x\n",
+    "oversized": b'"' + b"x" * 131_073 + b'",y\n',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_ROWS))
+@pytest.mark.parametrize(
+    "reader, text",
+    [(read_activities, ACTIVITY_CSV), (read_dependencies, DEPENDENCY_CSV)],
+    ids=["activities", "dependencies"],
+)
+def test_unreadable_row_raises_parse_error_with_path(tmp_path, reader, text, kind):
+    path = tmp_path / "schedule.csv"
+    path.write_bytes(text.encode("utf-8") + UNREADABLE_ROWS[kind])
+    with pytest.raises(ScheduleParseError) as excinfo:
+        reader(path)
+    assert excinfo.value.path == str(path)
+    # the decoder reads ahead in blocks, so only the CSV reader knows its line
+    assert excinfo.value.line == (None if kind == "undecodable" else text.count("\n") + 1)
+
+
 class TestRoundTrip:
     def test_csv_round_trip_preserves_nodes_and_edges(self, tmp_path):
         rng = np.random.default_rng(23)
