@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -61,20 +62,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
-    try:
-        return args.func(args)
-    except ScheduleParseError as exc:
-        return _fail(exc, EXIT_PARSE)
-    except (DuplicateActivityId, UnknownActivityId, SelfLoop) as exc:
-        return _fail(exc, EXIT_PARSE)
-    except CycleDetected as exc:
-        return _fail(exc, EXIT_CYCLE)
-    except EmptyNetwork as exc:
-        return _fail(exc, EXIT_EMPTY)
-    except (NoValidDelays, InsufficientData, DegenerateConfig) as exc:
-        return _fail(exc, EXIT_NODATA)
-    except OSError as exc:
-        return _fail(exc, EXIT_PARSE)
+    with warnings.catch_warnings():
+        warnings.showwarning = _log_warning
+        try:
+            return args.func(args)
+        except ScheduleParseError as exc:
+            return _fail(exc, EXIT_PARSE)
+        except (DuplicateActivityId, UnknownActivityId, SelfLoop) as exc:
+            return _fail(exc, EXIT_PARSE)
+        except CycleDetected as exc:
+            return _fail(exc, EXIT_CYCLE)
+        except EmptyNetwork as exc:
+            return _fail(exc, EXIT_EMPTY)
+        except (NoValidDelays, InsufficientData, DegenerateConfig) as exc:
+            return _fail(exc, EXIT_NODATA)
+        except OSError as exc:
+            return _fail(exc, EXIT_PARSE)
 
 
 def entry() -> None:
@@ -541,6 +544,11 @@ def _write(out_dir: Path, name: str, text: str) -> tuple[str, str]:
     """Write one artifact; return its manifest entry (name, sha256)."""
     (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
     return name, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _log_warning(message: Warning | str, *_: Any) -> None:
+    """Show a library warning as a log line, without its source location."""
+    logger.warning("%s", message)
 
 
 def _fail(exc: Exception, code: int) -> int:

@@ -24,9 +24,17 @@ in one sweep over a single (n-1) x (n-1) buffer: stepping from k-1 to k
 changes only the node that buffer row and column k-1 stand for, the rows
 patched for k-1 and the rows of anc(k). Descendant and ancestor counts
 come from exact integer deltas. The floating-point evaluation is the one
-``rh_global`` runs, on a matrix of the same shape and values, so every
-local value equals ``rh_global`` of the rebuilt smaller network,
-subtracted from the base score, bit for bit.
+``rh_global`` runs, on a matrix of the same values in the same row
+blocks, so every local value equals ``rh_global`` of the rebuilt smaller
+network, subtracted from the base score, bit for bit.
+
+The float contract of every RH value is the bits of ``u @ (R @ w)`` with
+``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread.
+Both ``rh_global`` and the sweep take ``R @ w`` in small row blocks
+aligned to whole 8-row groups (``_product``), which give every row those
+bits at one and at two BLAS threads (up to n = 10,000: above it OpenBLAS
+splits the final dot product between threads). ``rh_global`` never holds
+the n x n matrix: it unpacks the packed closure rows one block at a time.
 """
 
 from __future__ import annotations
@@ -94,9 +102,7 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     table = closure(network)
     if n <= 2 or table.pair_count == 0:
         return HeterogeneityScore(0.0, n, table.pair_count)
-    reach = np.empty((n, n), dtype=np.float64)
-    _fill(reach, table._rows, n)
-    value = _rh_from_reach(reach, table.descendant_counts, table.ancestor_counts)
+    value = _rh_from_reach(table._rows, table.descendant_counts, table.ancestor_counts)
     return HeterogeneityScore(value, n, table.pair_count)
 
 
@@ -129,7 +135,8 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
     return LocalRHVector(values, base)
 
 
-_CHUNK = 1 << 16  # matrix entries unpacked per step of a full fill
+_CHUNK = 1 << 16  # matrix entries per unpack step and per product block
+_GROUP = 8  # rows per aligned block unit of ``_product``
 
 
 def _normalizer(n: int) -> float:
@@ -222,8 +229,8 @@ class _ReducedReach:
 def _fill(buffer: np.ndarray, rows: np.ndarray, k: int) -> None:
     """Write every buffer row from the packed closure ``rows`` without row and column k.
 
-    ``k = len(rows)`` drops nothing. Rows are unpacked in bounded chunks, so
-    the whole 0/1 matrix never exists next to the buffer.
+    Rows are unpacked in bounded chunks, so the whole 0/1 matrix never
+    exists next to the buffer.
     """
     step = max(1, _CHUNK // len(rows))
     for start in range(0, len(buffer), step):
@@ -240,18 +247,58 @@ def _put_rows(buffer: np.ndarray, nodes: np.ndarray, packed: np.ndarray, k: int)
     buffer[at, k:] = reach[:, k + 1:len(buffer) + 1]
 
 
+def _product(reach: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``R @ w`` in small row blocks, from float rows of R or its packed bit rows.
+
+    ``reach`` is R itself as float64 rows, or R packed into little-endian
+    uint8 bit rows, which each block unpacks. Every row gets the bits of
+    the whole-matrix product under one BLAS thread, at one and at two
+    threads. OpenBLAS dgemv works on groups of rows and gives the ``n % 4``
+    tail rows to another kernel, splits a large call between threads, and
+    sends a one-row call through a dot kernel. So every block but the last
+    is whole 8-row groups starting on a multiple of 8, a block holds at
+    most ``_CHUNK`` entries (or 8 rows, whichever is more) so that it runs
+    on one thread, and a lone last row joins the block before it. Float
+    rows go through one stacked call over their whole blocks. At n=9125
+    packed rows take about 0.7 MB of floats at a time where the whole
+    matrix took 666 MB.
+    """
+    n = len(w)
+    step = max(_GROUP, _CHUNK // n // _GROUP * _GROUP)
+    blocks = n // step
+    if blocks and n - blocks * step == 1:
+        blocks -= 1  # a lone last row joins the block before it
+    cut = blocks * step
+    y = np.empty(n, dtype=np.float64)
+    if reach.dtype == np.uint8:
+        for start in range(0, cut, step):
+            y[start:start + step] = _unpack(reach[start:start + step], n) @ w
+        y[cut:] = _unpack(reach[cut:], n) @ w
+    else:  # one stacked call, one dgemv per block
+        y[:cut] = (reach[:cut].reshape(blocks, step, n) @ w).reshape(cut)
+        y[cut:] = reach[cut:] @ w
+    return y
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
+
+
 def _without(values: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((values[:k], values[k + 1:]))
 
 
 def _rh_from_reach(reach: np.ndarray, d: np.ndarray, a: np.ndarray) -> float:
-    """RH value of a 0/1 reach matrix with row sums ``d`` and column sums ``a``.
+    """RH value of a 0/1 reach matrix R with row sums ``d`` and column sums ``a``.
 
-    The pair sum expands to ``#(i: d_i > 0) + #(j: a_j > 0) - 2 * u' R w``
-    with u = 1/sqrt(d), w = 1/sqrt(a) and R the reachability matrix, so one
-    matrix-vector product replaces iteration over every reachable pair.
-    Every summed term has d_i >= 1 and a_j >= 1 by construction, so no
-    division by zero can occur.
+    ``reach`` holds R as float64 rows or as packed bit rows (see
+    ``_product``). The pair sum expands to
+    ``#(i: d_i > 0) + #(j: a_j > 0) - 2 * u' R w`` with u = 1/sqrt(d) and
+    w = 1/sqrt(a), so one matrix-vector product replaces iteration over
+    every reachable pair. Every summed term has d_i >= 1 and a_j >= 1 by
+    construction, so no division by zero can occur. The float contract is
+    the bits of ``u @ (R @ w)`` with ``R @ w`` taken as one whole-matrix
+    float64 dgemv under one BLAS thread.
     """
     n = len(d)
     if n <= 2 or not d.any():
@@ -263,7 +310,7 @@ def _rh_from_reach(reach: np.ndarray, d: np.ndarray, a: np.ndarray) -> float:
     w = np.zeros(n, dtype=np.float64)
     np.divide(1.0, np.sqrt(a, dtype=np.float64), out=w, where=a > 0)
 
-    cross = float(u @ (reach @ w))
+    cross = float(u @ _product(reach, w))
     raw = sources + targets - 2.0 * cross
     if raw < 0.0:  # cancellation noise on near-homogeneous graphs
         logger.debug("clamped RH raw sum %r to 0 at n=%d", raw, n)

@@ -233,7 +233,9 @@ def prune_isolated(network: ActivityNetwork) -> ActivityNetwork:
     """Drop every node with no incoming and no outgoing dependency.
 
     Surviving nodes are re-indexed contiguously, preserving their relative
-    (ascending id) order. Idempotent.
+    (ascending id) order. Idempotent. A kept topological order carries
+    over: isolated nodes never hold back another node, so the pruned
+    network's order is the kept one without them, re-indexed.
 
     Raises:
         EmptyNetwork: no node has a dependency at all.
@@ -250,7 +252,10 @@ def prune_isolated(network: ActivityNetwork) -> ActivityNetwork:
     remap = {old: new for new, old in enumerate(keep)}
     records = [network.nodes[i] for i in keep]
     edges = [(remap[s], remap[t]) for s, t in network.edges]
-    return ActivityNetwork(records, edges)
+    pruned = ActivityNetwork(records, edges)
+    if network._order is not None:
+        pruned._order = tuple(remap[i] for i in network._order if i in remap)
+    return pruned
 
 
 def weakly_connected_components(network: ActivityNetwork) -> ComponentSummary:

@@ -176,6 +176,9 @@ def _parse_optional_date(text: str, field: str) -> date | None:
 def _data_rows(path: Path, fields: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of every nonblank row below a schedule CSV's header.
 
+    The line number is the physical line the row starts on, so a quoted
+    field that spans lines does not shift the rows after it.
+
     Raises:
         ScheduleParseError: the header differs from ``fields``, the file is
             not UTF-8 text, or a row breaks the CSV reader (a field over its
@@ -185,9 +188,11 @@ def _data_rows(path: Path, fields: Sequence[str]) -> Iterator[tuple[int, list[st
         reader = csv.reader(handle)
         try:
             _expect_header(reader, fields, path)
-            for line, row in enumerate(reader, start=2):
+            line = reader.line_num + 1
+            for row in reader:
                 if row and (len(row) > 1 or row[0].strip()):
                     yield line, row
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:
             raise ScheduleParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from exc
         except csv.Error as exc:

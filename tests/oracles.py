@@ -96,6 +96,44 @@ def rh_from_pair_sum(succ, n):
     return total / (n - 2.0 * math.sqrt(n - 1))
 
 
+def dense_rh(network):
+    """RH as one whole-matrix float64 product ``u @ (R @ w)``.
+
+    R is the n x n 0/1 reach matrix, built as boolean rows in reverse
+    topological order (a plain Kahn sort), then converted to float64 in
+    one piece. This is the library's float contract: the expansion
+    ``#sources + #targets - 2 u'Rw``, the clamp at 0 and the normalizer,
+    with the product taken as one dgemv.
+    """
+    n = network.n
+    succ = network.successor_lists
+    remaining = [len(p) for p in network.predecessor_lists]
+    order = [i for i in range(n) if remaining[i] == 0]
+    for i in order:
+        for j in succ[i]:
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                order.append(j)
+    reach = np.zeros((n, n), dtype=bool)
+    for i in reversed(order):
+        for j in succ[i]:
+            reach[i, j] = True
+            reach[i] |= reach[j]
+    d = reach.sum(axis=1)
+    a = reach.sum(axis=0)
+    if n <= 2 or not d.any():
+        return 0.0
+    u = np.zeros(n)
+    np.divide(1.0, np.sqrt(d.astype(np.float64)), out=u, where=d > 0)
+    w = np.zeros(n)
+    np.divide(1.0, np.sqrt(a.astype(np.float64)), out=w, where=a > 0)
+    matrix = reach.astype(np.float64)
+    raw = int(np.count_nonzero(d)) + int(np.count_nonzero(a)) - 2.0 * float(u @ (matrix @ w))
+    if raw < 0.0:
+        raw = 0.0
+    return raw / (n - 2.0 * math.sqrt(n - 1))
+
+
 def enumerate_betweenness(succ, n):
     """Betweenness by exhaustive enumeration of every simple directed path."""
 

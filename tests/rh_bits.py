@@ -1,0 +1,104 @@
+"""Float-contract bits of ``rh_global`` for named networks, printed as JSON.
+
+Usage: ``python tests/rh_bits.py [--local] NAME...`` with ``src`` and
+``tests`` on the path. OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and
+``OPENBLAS_CORETYPE`` once, when numpy loads it, so a caller that compares
+kernels or thread counts runs this script once per setting. For each
+network it prints:
+
+* ``value``: ``rh_global(net).value`` as a float hex string;
+* ``dense``: ``oracles.dense_rh(net)``, the whole-matrix expression;
+* ``streamed`` and ``whole``: sha256 digests of ``R @ w`` taken by the
+  library's blocked product from packed rows and by one whole-matrix
+  product, for the network's closure R and w = 1/sqrt(ancestor counts);
+* ``local``, with ``--local`` only: a digest of ``rh_local_all(net).values``.
+
+A ``wide-N`` name prints only ``streamed``, for N random packed 0/1 rows
+of N bits, which never exist as one float matrix.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from oracles import dense_rh, make_network
+from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local_all
+from schednet.heterogeneity import _product
+from schednet.reachability import closure
+
+
+def shuffled_dag(n, p, seed):
+    """Random DAG on n nodes with edge probability p whose ids are shuffled against its edges."""
+    rng = np.random.default_rng(seed)
+    ids = [f"v{k:05d}" for k in rng.permutation(n)]
+    pairs = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+    return make_network(ids, [(ids[i], ids[j]) for i, j in pairs.tolist()])
+
+
+def generated(**config):
+    return prune_isolated(generate_dag(GeneratorConfig(**config)))
+
+
+NETWORKS = {
+    # the acceptance-c7 topology, n=1208
+    "c7": lambda: generated(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7),
+    # the same grid, dense: n=1357, 745,371 reachable pairs
+    "dense": lambda: generated(layer_count=40, layer_width=34, edge_probability=0.06, skip_depth=2, seed=7),
+    # n=1002; its whole-matrix product changes bits between 1 and 2 BLAS threads
+    "random-dense": lambda: shuffled_dag(1002, 0.01, 1002),
+    # n=433 streams in blocks of 144 rows, so its last block would hold one row
+    "one-row-433": lambda: shuffled_dag(433, 0.01, 2),
+}
+for _seed in range(24):
+    NETWORKS[f"small-{_seed}"] = lambda s=_seed: generated(
+        layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3, seed=s
+    )
+for _n in range(1000, 1008):  # every residue mod 8, in blocks of 64 rows
+    NETWORKS[f"residue-{_n}"] = lambda n=_n: shuffled_dag(n, 0.01, n)
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def weights(a):
+    w = np.zeros(len(a))
+    np.divide(1.0, np.sqrt(a.astype(np.float64)), out=w, where=a > 0)
+    return w
+
+
+def bits(network, local=False):
+    n = network.n
+    table = closure(network)
+    w = weights(table.ancestor_counts)
+    whole = np.unpackbits(table._rows, axis=1, count=n, bitorder="little").astype(np.float64)
+    out = {
+        "value": rh_global(network).value.hex(),
+        "dense": dense_rh(network).hex(),
+        "streamed": _digest(_product(table._rows, w)),
+        "whole": _digest(whole @ w),
+    }
+    if local:
+        out["local"] = _digest(rh_local_all(network).values)
+    return out
+
+
+def wide(n):
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 256, size=(n, (n + 7) // 8), dtype=np.uint8)
+    return {"streamed": _digest(_product(rows, weights(rng.integers(1, n, size=n))))}
+
+
+if __name__ == "__main__":
+    local = "--local" in sys.argv
+    out = {}
+    for name in sys.argv[1:]:
+        if name.startswith("wide-"):
+            out[name] = wide(int(name[len("wide-"):]))
+        elif name != "--local":
+            out[name] = bits(NETWORKS[name](), local)
+    json.dump(out, sys.stdout)

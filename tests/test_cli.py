@@ -390,6 +390,18 @@ class TestBenchmarkCommand:
         ranks = sorted(int(row.rsplit(",", 1)[1]) for row in rows[1:])
         assert ranks == list(range(1, 9))
 
+    def test_constant_delays_warn_through_logging(self, tmp_path, capsys, caplog):
+        out = tmp_path / "quiet"
+        flags = ["--layers", "6", "--width", "4", "--edge-prob", "0.4", "--seed", "2"]
+        assert main(["generate", "--out", str(out), *flags]) == 0  # no --noise: every delay is equal
+        capsys.readouterr()
+        assert main(["benchmark", str(out / "activities.csv"), str(out / "dependencies.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "DegenerateMetricWarning" not in err and "cli.py" not in err
+        [record] = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert record.name == "schednet.cli"
+        assert record.getMessage().startswith("every valid start delay is ")
+
     def test_log_base_two_rescales(self, tmp_path):
         a, d = synth_files(tmp_path)
         out_e = tmp_path / "nats"

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import logging
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +165,112 @@ class TestRhGlobal:
             assert rh_global(net).value == 0.0
         assert len(caplog.records) == 1
         assert "n=6" in caplog.records[0].getMessage()
+
+
+def rh_bits(names, threads=1, coretype=None, local=False):
+    """Run ``rh_bits.py`` for ``names`` in a child with the given BLAS threads and kernel."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("rh_bits.py")), *(["--local"] if local else []), *names],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def x86_openblas():
+    """Whether numpy runs on x86 OpenBLAS, whose dgemv kernels the block rules follow."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy < 1.26 cannot report its BLAS as data
+        return False
+    return "openblas" in blas.lower()
+
+
+openblas_kernels = pytest.mark.skipif(not x86_openblas(), reason="bit rules of x86 OpenBLAS dgemv kernels")
+
+
+CONTRACT_SETS = {
+    "c7": ["c7"],
+    "dense": ["dense"],
+    "small-batch": [f"small-{seed}" for seed in range(24)],
+    "residues": [f"residue-{n}" for n in range(1000, 1008)] + ["one-row-433"],
+}
+
+
+@pytest.fixture(scope="module")
+def one_thread_bits():
+    return rh_bits([name for names in CONTRACT_SETS.values() for name in names])
+
+
+class TestFloatContract:
+    """RH keeps the bits of the whole-matrix product under one BLAS thread.
+
+    The float contract is ``oracles.dense_rh``: one n x n float64 matrix and
+    one dgemv. Both sides run in a child process, where the BLAS thread
+    count and kernel can be pinned before numpy loads. Bit equality with
+    that product follows from how x86 OpenBLAS splits rows between its
+    kernels, so these checks run only there.
+    """
+
+    @openblas_kernels
+    @pytest.mark.parametrize("group", CONTRACT_SETS)
+    def test_value_and_product_match_the_whole_matrix(self, one_thread_bits, group):
+        for name in CONTRACT_SETS[group]:
+            bits = one_thread_bits[name]
+            assert bits["value"] == bits["dense"], name
+            assert bits["streamed"] == bits["whole"], name
+
+    @openblas_kernels
+    @pytest.mark.parametrize("coretype", [None, "Haswell", "Nehalem"], ids=["default", "Haswell", "Nehalem"])
+    def test_holds_for_each_kernel_at_one_and_two_threads(self, coretype):
+        names = ["c7", "random-dense"]
+        one = rh_bits(names, 1, coretype)
+        two = rh_bits(names, 2, coretype)
+        for name in names:
+            assert one[name]["value"] == one[name]["dense"], name
+            assert one[name]["streamed"] == one[name]["whole"], name
+            assert two[name]["value"] == one[name]["value"], name
+            assert two[name]["streamed"] == one[name]["streamed"], name
+
+    @openblas_kernels
+    def test_local_sweep_keeps_its_bits_at_two_threads(self):
+        # one whole-buffer dgemv per node gives this network other local values at two threads
+        one = rh_bits(["dense"], 1, local=True)["dense"]
+        two = rh_bits(["dense"], 2, local=True)["dense"]
+        assert two["local"] == one["local"]
+        assert two["value"] == one["value"]
+
+    @openblas_kernels
+    def test_blocks_wider_than_the_chunk_keep_their_bits_at_two_threads(self):
+        # above n = 8192 a block of 8 rows holds more than _CHUNK entries
+        names = ["wide-8200", "wide-9125"]
+        assert rh_bits(names, 2) == rh_bits(names, 1)
+
+    def test_never_holds_the_dense_matrix(self):
+        net = prune_isolated(
+            generate_dag(
+                GeneratorConfig(layer_count=66, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11)
+            )
+        )
+        assert 2800 <= net.n <= 3200
+        reachability_table(net)  # the kept closure is the input, not working memory
+        tracemalloc.start()
+        try:
+            rh_global(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < net.n * net.n * 8 / 8  # an eighth of the n x n float64 matrix
 
 
 class TestClosureProperties:

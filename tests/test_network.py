@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import logging
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import schednet.network
 from schednet import (
     ActivityNetwork,
     ActivityRecord,
@@ -18,10 +21,13 @@ from schednet import (
     SelfLoop,
     UnknownActivityId,
     build_network,
+    load_network,
     prune_isolated,
     reachability_table,
     topological_order,
     weakly_connected_components,
+    write_activities,
+    write_dependencies,
 )
 from oracles import make_network, make_records, random_network, undirected_components
 
@@ -114,6 +120,30 @@ class TestPruneIsolated:
         net = make_network("abc", [])
         with pytest.raises(EmptyNetwork):
             prune_isolated(net)
+
+    def test_carries_the_kept_order(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            net = random_network(rng, ensure_edge=True)
+            pruned = prune_isolated(net)
+            assert topological_order(pruned) == topological_order(ActivityNetwork(pruned.nodes, pruned.edges))
+
+    def test_load_network_with_an_isolated_node_sorts_once(self, tmp_path, monkeypatch):
+        write_activities(tmp_path / "a.csv", make_records("abcd"))
+        write_dependencies(tmp_path / "d.csv", [Dependency("a", "b"), Dependency("b", "d")])
+        sorts = []
+
+        def heapify(heap):  # once per topological sort
+            sorts.append(len(heap))
+            heapq.heapify(heap)
+
+        monkeypatch.setattr(
+            schednet.network, "heapq", SimpleNamespace(heapify=heapify, heappop=heapq.heappop, heappush=heapq.heappush)
+        )
+        net = load_network(tmp_path / "a.csv", tmp_path / "d.csv")
+        assert net.node_ids == ("a", "b", "d")
+        reachability_table(net)
+        assert len(sorts) == 1
 
     def test_idempotent_on_random_networks(self):
         rng = np.random.default_rng(7)

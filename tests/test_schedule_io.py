@@ -60,6 +60,13 @@ class TestReadActivities:
             read_activities(write(tmp_path, "a.csv", text))
         assert excinfo.value.line == 3
 
+    def test_line_after_a_two_line_quoted_name_is_the_physical_line(self, tmp_path):
+        text = ACTIVITY_CSV.replace("a,Dig,", 'a,"Dig\nsite",').replace("2021-01-06,2021-01-08", "not-a-date,2021-01-08")
+        with pytest.raises(ScheduleParseError) as excinfo:
+            read_activities(write(tmp_path, "a.csv", text))
+        assert excinfo.value.line == 4
+        assert ":4:" in str(excinfo.value)
+
     def test_duplicate_id_reports_line(self, tmp_path):
         text = ACTIVITY_CSV + "a,Again,2021-02-01,2021-02-02,,\n"
         with pytest.raises(ScheduleParseError) as excinfo:
