@@ -18,7 +18,7 @@ from datetime import date
 
 import numpy as np
 
-from schednet import ActivityRecord, Dependency, build_network
+from schednet import ActivityNetwork, ActivityRecord, Dependency, build_network
 
 DAY0 = date(2021, 1, 1)
 DAY4 = date(2021, 1, 5)
@@ -31,6 +31,13 @@ def make_records(ids, planned_start=DAY0, planned_end=DAY4):
 def make_network(ids, edge_pairs):
     """Network from id list and (predecessor id, successor id) pairs."""
     return build_network(make_records(ids), [Dependency(a, b) for a, b in edge_pairs])
+
+
+def without_node(net, v):
+    """The network rebuilt from every node and edge not touching ``v``."""
+    nodes = [rec for i, rec in enumerate(net.nodes) if i != v]
+    edges = [(s - (s > v), t - (t > v)) for s, t in net.edges if v not in (s, t)]
+    return ActivityNetwork(nodes, edges)
 
 
 def random_network(rng, n_min=2, n_max=12, p=None, ensure_edge=False):

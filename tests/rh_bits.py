@@ -11,7 +11,10 @@ network it prints:
 * ``streamed`` and ``whole``: sha256 digests of ``R @ w`` taken by the
   library's blocked product from packed rows and by one whole-matrix
   product, for the network's closure R and w = 1/sqrt(ancestor counts);
-* ``local``, with ``--local`` only: a digest of ``rh_local_all(net).values``.
+* with ``--local`` only: ``local``, a digest of ``rh_local_all(net).values``,
+  and for the run of nodes ``RUN``: ``sampled``, the sweep's values there;
+  ``single``, ``rh_local`` at each; and ``rebuilt``, the base score minus
+  ``rh_global`` of the network rebuilt without each.
 
 A ``wide-N`` name prints only ``streamed``, for N random packed 0/1 rows
 of N bits, which never exist as one float matrix.
@@ -25,9 +28,9 @@ import sys
 
 import numpy as np
 
-from oracles import dense_rh, make_network
-from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local_all
-from schednet.heterogeneity import _product
+from oracles import dense_rh, make_network, without_node
+from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local, rh_local_all
+from schednet.heterogeneity import _product, _unpack
 from schednet.reachability import closure
 
 
@@ -43,6 +46,12 @@ def generated(**config):
     return prune_isolated(generate_dag(GeneratorConfig(**config)))
 
 
+def relabelled(network, seed):
+    """``network`` with its ids shuffled, so index order no longer follows its layers."""
+    ids = [f"s{k:04d}" for k in np.random.default_rng(seed).permutation(network.n)]
+    return make_network(ids, [(ids[s], ids[t]) for s, t in network.edges])
+
+
 NETWORKS = {
     # the acceptance-c7 topology, n=1208
     "c7": lambda: generated(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7),
@@ -50,6 +59,10 @@ NETWORKS = {
     "dense": lambda: generated(layer_count=40, layer_width=34, edge_probability=0.06, skip_depth=2, seed=7),
     # n=1002; its whole-matrix product changes bits between 1 and 2 BLAS threads
     "random-dense": lambda: shuffled_dag(1002, 0.01, 1002),
+    # n=540, 3.8% of pairs reachable: the local sweep refreshes about a third of its rows per node
+    "sparse": lambda: relabelled(
+        generated(layer_count=20, layer_width=30, edge_probability=0.02, skip_depth=2, seed=5), seed=5
+    ),
     # n=433 streams in blocks of 144 rows, so its last block would hold one row
     "one-row-433": lambda: shuffled_dag(433, 0.01, 2),
 }
@@ -59,6 +72,7 @@ for _seed in range(24):
     )
 for _n in range(1000, 1008):  # every residue mod 8, in blocks of 64 rows
     NETWORKS[f"residue-{_n}"] = lambda n=_n: shuffled_dag(n, 0.01, n)
+RUN = range(40, 70)  # consecutive nodes, so each follows the one before it in the sweep
 
 
 def _digest(values):
@@ -79,18 +93,24 @@ def bits(network, local=False):
     out = {
         "value": rh_global(network).value.hex(),
         "dense": dense_rh(network).hex(),
-        "streamed": _digest(_product(table._rows, w)),
+        "streamed": _digest(_product(lambda start, stop: _unpack(table._rows[start:stop], n), w)),
         "whole": _digest(whole @ w),
     }
     if local:
-        out["local"] = _digest(rh_local_all(network).values)
+        values = rh_local_all(network).values
+        base = rh_global(network).value
+        out["local"] = _digest(values)
+        out["sampled"] = _digest(values[RUN])
+        out["single"] = _digest([rh_local(network, v) for v in RUN])
+        out["rebuilt"] = _digest([base - rh_global(without_node(network, v)).value for v in RUN])
     return out
 
 
 def wide(n):
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 256, size=(n, (n + 7) // 8), dtype=np.uint8)
-    return {"streamed": _digest(_product(rows, weights(rng.integers(1, n, size=n))))}
+    w = weights(rng.integers(1, n, size=n))
+    return {"streamed": _digest(_product(lambda start, stop: _unpack(rows[start:stop], n), w))}
 
 
 if __name__ == "__main__":

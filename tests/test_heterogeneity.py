@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schednet import (
-    ActivityNetwork,
     Dependency,
     GeneratorConfig,
     UnknownNode,
@@ -30,7 +29,9 @@ from schednet import (
     rh_local,
     rh_local_all,
 )
-from oracles import make_network, make_records, random_network, rh_from_pair_sum
+from schednet import heterogeneity
+from oracles import make_network, make_records, random_network, rh_from_pair_sum, without_node
+from rh_bits import NETWORKS
 
 
 def naive_local_values(net):
@@ -46,13 +47,6 @@ def naive_local_values(net):
         ]
         out.append(base - rh_global(build_network(keep, deps)).value)
     return out
-
-
-def without_node(net, v):
-    """The network rebuilt from every node and edge not touching ``v``."""
-    nodes = [rec for i, rec in enumerate(net.nodes) if i != v]
-    edges = [(s - (s > v), t - (t > v)) for s, t in net.edges if v not in (s, t)]
-    return ActivityNetwork(nodes, edges)
 
 
 @st.composite
@@ -212,6 +206,25 @@ def one_thread_bits():
     return rh_bits([name for names in CONTRACT_SETS.values() for name in names])
 
 
+def screening_network():
+    """A generated network of about 3000 nodes, the size where a dense float matrix shows."""
+    net = prune_isolated(
+        generate_dag(GeneratorConfig(layer_count=66, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11))
+    )
+    assert 2800 <= net.n <= 3200
+    return net
+
+
+def traced_peak(function, *args):
+    """Peak traced Python memory while ``function(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFloatContract:
     """RH keeps the bits of the whole-matrix product under one BLAS thread.
 
@@ -251,26 +264,35 @@ class TestFloatContract:
         assert two["value"] == one["value"]
 
     @openblas_kernels
+    @pytest.mark.parametrize("coretype", [None, "Haswell", "Nehalem"], ids=["default", "Haswell", "Nehalem"])
+    def test_partial_refreshes_match_rebuilt_networks_for_each_kernel(self, coretype):
+        # both networks refresh only the changed rows of R @ w from node to node
+        names = ["c7", "sparse"]
+        one = rh_bits(names, 1, coretype, local=True)
+        two = rh_bits(names, 2, coretype, local=True)
+        for name in names:
+            for bits in one[name], two[name]:
+                assert bits["sampled"] == bits["rebuilt"], name
+                assert bits["single"] == bits["rebuilt"], name
+            assert two[name]["local"] == one[name]["local"], name
+
+    @openblas_kernels
     def test_blocks_wider_than_the_chunk_keep_their_bits_at_two_threads(self):
         # above n = 8192 a block of 8 rows holds more than _CHUNK entries
         names = ["wide-8200", "wide-9125"]
         assert rh_bits(names, 2) == rh_bits(names, 1)
 
     def test_never_holds_the_dense_matrix(self):
-        net = prune_isolated(
-            generate_dag(
-                GeneratorConfig(layer_count=66, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11)
-            )
-        )
-        assert 2800 <= net.n <= 3200
+        net = screening_network()
         reachability_table(net)  # the kept closure is the input, not working memory
-        tracemalloc.start()
-        try:
-            rh_global(net)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < net.n * net.n * 8 / 8  # an eighth of the n x n float64 matrix
+        assert traced_peak(rh_global, net) < net.n * net.n * 8 / 8  # an eighth of the n x n float64 matrix
+
+    def test_one_local_value_never_holds_the_reduced_matrix(self):
+        net = screening_network()
+        deepest = int(np.argmax(reachability_table(net).ancestor_counts))  # the largest cone to recompute
+        rh_global(net)
+        peak = traced_peak(rh_local, net, deepest)
+        assert peak < (net.n - 1) ** 2 * 8 / 8  # an eighth of the reduced float64 matrix
 
 
 class TestClosureProperties:
@@ -371,3 +393,62 @@ class TestRhLocalAll:
         for label, v in samples.items():
             expected = base - rh_global(without_node(net, v)).value
             assert vector.values[v] == expected, label
+
+
+@pytest.fixture(scope="module")
+def c7():
+    net = NETWORKS["c7"]()
+    reachability_table(net)  # kept on the network, outside any traced call
+    return net
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    net = NETWORKS["sparse"]()
+    assert heterogeneity._ReducedReach(net).partial  # the sweep refreshes only changed rows
+    return net
+
+
+class TestPartialRefresh:
+    """The sweep keeps R @ w from node to node and recomputes only the rows that can change."""
+
+    def test_matches_rebuilt_networks_at_every_node(self, sparse):
+        # each node follows the one before it; an unpadded gather changes 2 of these 540 values
+        vector = rh_local_all(sparse)
+        base = vector.global_score.value
+        for v in range(sparse.n):
+            assert vector.values[v] == base - rh_global(without_node(sparse, v)).value, v
+
+    def test_keeps_the_blocked_product_at_every_row(self, sparse):
+        # rows whose u is 0 do not reach the value, so this checks what the values cannot
+        reduced = heterogeneity._ReducedReach(sparse)
+        for k in range(sparse.n):
+            reduced.value_without(k)
+            w = heterogeneity._weights(reduced.buffer.sum(axis=0).astype(np.int64))
+            whole = heterogeneity._product(lambda start, stop: reduced.buffer[start:stop], w)
+            assert reduced.y.tobytes() == whole.tobytes(), k
+
+    def test_single_node_values_match_the_sweep(self, sparse):
+        values = rh_local_all(sparse).values
+        table = reachability_table(sparse)
+        rng = np.random.default_rng(97)
+        nodes = {0, sparse.n - 1, int(np.argmax(table.ancestor_counts)), int(np.argmax(table.descendant_counts))}
+        for v in sorted(nodes | set(rng.choice(sparse.n, 6, replace=False).tolist())):
+            assert rh_local(sparse, v) == values[v], v
+
+    def test_refreshes_at_most_a_quarter_of_the_row_products_on_c7(self, c7, monkeypatch):
+        cut = heterogeneity._layout(c7.n - 1)[1]
+        real, refreshed = heterogeneity._refresh, []
+
+        def counting(y, buffer, w, rows, gathered):
+            refreshed.append(len(rows) + len(y) - cut)  # the last block is taken whole
+            real(y, buffer, w, rows, gathered)
+
+        monkeypatch.setattr(heterogeneity, "_refresh", counting)
+        rh_local_all(c7)
+        assert len(refreshed) == c7.n
+        assert sum(refreshed) <= c7.n * (c7.n - 1) / 4
+
+    def test_sweep_holds_little_beside_its_buffer(self, c7):
+        buffer = (c7.n - 1) ** 2 * 8
+        assert traced_peak(rh_local_all, c7) - buffer < buffer / 8
