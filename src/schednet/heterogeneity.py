@@ -20,13 +20,14 @@ Local RH never rebuilds the smaller network. Removing node k changes the
 reach matrix only in the rows of k's ancestors, which lose the paths
 through k, so the reduced matrix is the base closure with row and column
 k deleted and those rows recomputed. ``rh_local_all`` visits k = 0..n-1
-in one sweep over a single (n-1) x (n-1) buffer: stepping from k-1 to k
-changes only the node that buffer row and column k-1 stand for, the rows
-patched for k-1 and the rows of anc(k). Descendant and ancestor counts
-come from exact integer deltas. The floating-point evaluation is the one
-``rh_global`` runs, on a matrix of the same values in the same row
-blocks, so every local value equals ``rh_global`` of the rebuilt smaller
-network, subtracted from the base score, bit for bit.
+in one sweep over a single (n-1) x (n-1) buffer of 0/1 bytes: stepping
+from k-1 to k changes only the node that buffer row and column k-1 stand
+for, the rows patched for k-1 and the rows of anc(k). Descendant and
+ancestor counts come from exact integer deltas. The floating-point
+evaluation is the one ``rh_global`` runs: each row block is cast to
+float64, which is exact for 0 and 1, and multiplied as ``rh_global``
+multiplies the same rows, so every local value equals ``rh_global`` of
+the rebuilt smaller network, subtracted from the base score, bit for bit.
 
 The sweep also keeps y = R' @ w' of the last node and refreshes only the
 rows of it that can change. From k-1 to k, R' and w' change only in the
@@ -162,8 +163,9 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
 
     Each entry equals ``rh_local(network, i)`` and ``rh_global`` of the
     network rebuilt without node i, subtracted from the base score, bit for
-    bit. The sweep holds one (n-1) x (n-1) float64 buffer, allocated after
-    the base score is computed, and the last node's product ``R @ w``.
+    bit. The sweep holds one (n-1) x (n-1) buffer of 0/1 bytes, allocated
+    after the base score is computed, one float64 block of rows to
+    multiply, and the last node's product ``R @ w``.
     Each node recomputes only the rows of that product that can have
     changed: a zero entry adds an exact +0.0 to a row's non-negative sum,
     so a row keeps its bits unless it is, or reaches, a node of
@@ -195,6 +197,12 @@ class _ReducedReach:
     hold reach without paths through k; every other row is the base
     closure row. ``y`` holds the buffer's blocked product with the reduced
     network's w. Moving to k + 1 only rewrites what changes, in both.
+
+    The buffer holds 0/1 bytes, an eighth of a float64 matrix. Each
+    product block is cast into ``block``, the one float64 block kept, and
+    a uint8 to float64 cast of 0 or 1 is exact: dgemv gets the same
+    values, rows, start and size as from a float buffer, so every row
+    keeps its bits.
     """
 
     def __init__(self, network: ActivityNetwork) -> None:
@@ -208,13 +216,14 @@ class _ReducedReach:
         self.ancestors = _ancestor_rows(self.rows, self.order)
         self.closed = [_closed(self.rows, i) for i in range(n)]
         size = max(n - 1, 0)
-        self.buffer = np.empty((size, size), dtype=np.float64)
+        self.buffer = np.empty((size, size), dtype=np.uint8)
         self.y = np.empty(size, dtype=np.float64)
         step, self.cut = _layout(size)
         # the share of rows a node refreshes ran near ten times the closure's
         # pair density on every network measured, so this keeps it under ~60%
         self.partial = self.cut >= 4 * step and 16 * table.pair_count < n * n
-        self.gathered = np.empty((step if self.partial else 0, size), dtype=np.float64)
+        # a lone last row joins the block before it, so a block has at most step + 1 rows
+        self.block = np.empty((min(step + 1, size), size), dtype=np.float64)
         self.removed: int | None = None
         self.patched = np.empty(0, dtype=np.int64)
 
@@ -223,7 +232,7 @@ class _ReducedReach:
         follows = k > 0 and self.removed == k - 1
         d, a = self._remove(k, follows)
         rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
-        _refresh(self.y, self.buffer, _weights(a), rows, self.gathered)
+        _refresh(self.y, self.buffer, _weights(a), rows, self.block)
         return _rh(_weights(d) @ self.y, d, a)
 
     def _remove(self, k: int, follows: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +340,7 @@ def _fill(buffer: np.ndarray, rows: np.ndarray, k: int) -> None:
 
 
 def _put_rows(buffer: np.ndarray, nodes: np.ndarray, packed: np.ndarray, k: int) -> None:
-    """Write the packed rows of ``nodes`` into ``buffer`` as 0/1 floats, without row and column k."""
+    """Write the packed rows of ``nodes`` into ``buffer`` as 0/1 bytes, without row and column k."""
     reach = np.unpackbits(packed, axis=1, bitorder="little")
     at = nodes - (nodes > k)
     buffer[at, :k] = reach[:, :k]
@@ -369,30 +378,33 @@ def _product(block, w: np.ndarray) -> np.ndarray:
     return y
 
 
-def _refresh(y: np.ndarray, buffer: np.ndarray, w: np.ndarray, rows: np.ndarray, gathered: np.ndarray) -> None:
+def _refresh(y: np.ndarray, buffer: np.ndarray, w: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
     """Set ``y`` to ``buffer @ w`` at ``rows`` and at every row of ``_product``'s last block.
 
-    ``rows`` are sorted buffer rows below the last block's cut. They go
-    through in blocks of ``_product``'s size: a run of consecutive rows
-    that fills whole 8-row groups as a view of the buffer, any other block
-    gathered and padded with zero rows to whole 8-row groups. A row's
-    product depends only on its entries, on w and on which kernel takes
-    it, and every one of these blocks sends each row through the kernel
-    ``_product`` sends it through, on one thread, so each keeps its bits.
-    The last block, with the ``n % 4`` tail rows, is taken whole in place.
+    ``buffer`` holds 0/1 bytes and ``block`` is float64 scratch with room
+    for ``_product``'s largest block. ``rows`` are sorted buffer rows below
+    the last block's cut. They go through in blocks of
+    ``_product``'s size, each cast into ``block`` and padded with zero rows
+    to whole 8-row groups. The cast of 0 and 1 is exact, so dgemv sees the
+    float values a float buffer would hold. A row's product depends only
+    on its entries, on w and on which kernel takes it, and every one of
+    these blocks sends each row through the kernel ``_product`` sends it
+    through, on one thread, so each keeps its bits. The last block, with
+    the ``n % 4`` tail rows, is cast whole and unpadded, as ``_product``
+    takes it: bytes have no float view, and padding would hand its tail
+    rows to another kernel. It can hold step + 1 rows.
     """
     n = len(w)
     step, cut = _layout(n)
     for start in range(0, len(rows), step):
         at = rows[start:start + step]
-        if len(at) % _GROUP == 0 and at[-1] - at[0] == len(at) - 1:
-            y[at[0]:at[-1] + 1] = buffer[at[0]:at[-1] + 1] @ w
-        else:
-            block = gathered[:-(-len(at) // _GROUP) * _GROUP]
-            np.take(buffer, at, axis=0, out=block[:len(at)], mode="clip")  # "raise" would copy twice
-            block[len(at):] = 0.0
-            y[at] = (block @ w)[:len(at)]
-    y[cut:] = buffer[cut:] @ w
+        padded = block[:-(-len(at) // _GROUP) * _GROUP]
+        padded[:len(at)] = buffer[at]
+        padded[len(at):] = 0.0
+        y[at] = (padded @ w)[:len(at)]
+    last = block[:n - cut]
+    last[:] = buffer[cut:]
+    y[cut:] = last @ w
 
 
 def _bits(packed: np.ndarray, n: int) -> np.ndarray:

@@ -72,6 +72,12 @@ for _seed in range(24):
     )
 for _n in range(1000, 1008):  # every residue mod 8, in blocks of 64 rows
     NETWORKS[f"residue-{_n}"] = lambda n=_n: shuffled_dag(n, 0.01, n)
+# (n-1) % 4 = 0, 1, 2 on the local sweep's partial refresh, with about 40% of the rows per node
+for _n in (521, 522, 523):
+    NETWORKS[f"partial-{_n}"] = lambda n=_n: shuffled_dag(n, 0.008, n)
+# (n-1) % 4 = 1, 2, 3 on the full refresh; n=434 ends its sweep in a block of 145 rows
+for _n in (434, 435, 436):
+    NETWORKS[f"full-{_n}"] = lambda n=_n: shuffled_dag(n, 0.01, n)
 RUN = range(40, 70)  # consecutive nodes, so each follows the one before it in the sweep
 
 

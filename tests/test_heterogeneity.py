@@ -201,6 +201,18 @@ CONTRACT_SETS = {
 }
 
 
+# network: ((n-1) % 4, whether the sweep takes the partial refresh); c7 and
+# sparse cover (3, True) and dense (0, False)
+SWEEP_TAILS = {
+    "partial-521": (0, True),
+    "partial-522": (1, True),
+    "partial-523": (2, True),
+    "full-434": (1, False),
+    "full-435": (2, False),
+    "full-436": (3, False),
+}
+
+
 @pytest.fixture(scope="module")
 def one_thread_bits():
     return rh_bits([name for names in CONTRACT_SETS.values() for name in names])
@@ -277,6 +289,17 @@ class TestFloatContract:
             assert two[name]["local"] == one[name]["local"], name
 
     @openblas_kernels
+    def test_sweep_blocks_keep_bits_at_every_tail_residue(self):
+        for name, (residue, partial) in SWEEP_TAILS.items():
+            net = NETWORKS[name]()
+            assert ((net.n - 1) % 4, heterogeneity._ReducedReach(net).partial) == (residue, partial), name
+        assert heterogeneity._layout(433) == (144, 288)  # full-434's last block holds 145 rows
+        for threads in (1, 2):
+            bits = rh_bits(list(SWEEP_TAILS), threads, local=True)
+            for name in SWEEP_TAILS:
+                assert bits[name]["sampled"] == bits[name]["rebuilt"], (name, threads)
+
+    @openblas_kernels
     def test_blocks_wider_than_the_chunk_keep_their_bits_at_two_threads(self):
         # above n = 8192 a block of 8 rows holds more than _CHUNK entries
         names = ["wide-8200", "wide-9125"]
@@ -293,6 +316,18 @@ class TestFloatContract:
         rh_global(net)
         peak = traced_peak(rh_local, net, deepest)
         assert peak < (net.n - 1) ** 2 * 8 / 8  # an eighth of the reduced float64 matrix
+
+    def test_three_sweep_steps_hold_a_quarter_of_the_matrix(self):
+        net = screening_network()
+        deepest = int(np.argmax(reachability_table(net).ancestor_counts))  # the closure is kept outside the trace
+        start = min(deepest, net.n - 3)
+
+        def sweep_three_nodes():
+            reduced = heterogeneity._ReducedReach(net)
+            for k in range(start, start + 3):
+                reduced.value_without(k)
+
+        assert traced_peak(sweep_three_nodes) < (net.n - 1) ** 2 * 8 / 4
 
 
 class TestClosureProperties:
@@ -409,6 +444,16 @@ def sparse():
     return net
 
 
+def assert_keeps_blocked_product(net):
+    """After every node of the sweep, ``y`` has the bits of ``_product`` over the cast byte buffer."""
+    reduced = heterogeneity._ReducedReach(net)
+    for k in range(net.n):
+        reduced.value_without(k)
+        w = heterogeneity._weights(reduced.buffer.sum(axis=0, dtype=np.int64))
+        whole = heterogeneity._product(lambda start, stop: reduced.buffer[start:stop].astype(np.float64), w)
+        assert reduced.y.tobytes() == whole.tobytes(), k
+
+
 class TestPartialRefresh:
     """The sweep keeps R @ w from node to node and recomputes only the rows that can change."""
 
@@ -421,12 +466,11 @@ class TestPartialRefresh:
 
     def test_keeps_the_blocked_product_at_every_row(self, sparse):
         # rows whose u is 0 do not reach the value, so this checks what the values cannot
-        reduced = heterogeneity._ReducedReach(sparse)
-        for k in range(sparse.n):
-            reduced.value_without(k)
-            w = heterogeneity._weights(reduced.buffer.sum(axis=0).astype(np.int64))
-            whole = heterogeneity._product(lambda start, stop: reduced.buffer[start:stop], w)
-            assert reduced.y.tobytes() == whole.tobytes(), k
+        assert_keeps_blocked_product(sparse)
+
+    def test_keeps_the_blocked_product_at_every_tail_residue(self):
+        for name in SWEEP_TAILS:
+            assert_keeps_blocked_product(NETWORKS[name]())
 
     def test_single_node_values_match_the_sweep(self, sparse):
         values = rh_local_all(sparse).values
@@ -449,6 +493,6 @@ class TestPartialRefresh:
         assert len(refreshed) == c7.n
         assert sum(refreshed) <= c7.n * (c7.n - 1) / 4
 
-    def test_sweep_holds_little_beside_its_buffer(self, c7):
-        buffer = (c7.n - 1) ** 2 * 8
-        assert traced_peak(rh_local_all, c7) - buffer < buffer / 8
+    def test_sweep_peaks_under_a_quarter_of_the_float_matrix(self, c7):
+        # the buffer holds 0/1 bytes, an eighth of (n-1)^2 float64 entries
+        assert traced_peak(rh_local_all, c7) < (c7.n - 1) ** 2 * 8 / 4
