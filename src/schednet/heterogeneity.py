@@ -20,40 +20,43 @@ Local RH never rebuilds the smaller network. Removing node k changes the
 reach matrix only in the rows of k's ancestors, which lose the paths
 through k, so the reduced matrix is the base closure with row and column
 k deleted and those rows recomputed. ``rh_local_all`` visits k = 0..n-1
-in one sweep over a single (n-1) x (n-1) buffer of 0/1 bytes: stepping
-from k-1 to k changes only the node that buffer row and column k-1 stand
-for, the rows patched for k-1 and the rows of anc(k). Descendant and
-ancestor counts come from exact integer deltas. The floating-point
-evaluation is the one ``rh_global`` runs: each row block is cast to
-float64, which is exact for 0 and 1, and multiplied as ``rh_global``
-multiplies the same rows, so every local value equals ``rh_global`` of
-the rebuilt smaller network, subtracted from the base score, bit for bit.
+in one sweep that never holds the reduced matrix. It keeps one packed
+copy of the closure rows in which the rows of anc(k) are replaced; from
+k-1 to k it restores the rows of anc(k-1) and writes those of anc(k). A
+reduced row is its packed row unpacked without bit k, written straight
+into the float64 block that is multiplied. Descendant and ancestor counts
+come from exact integer deltas. ``rh_global`` and the sweep multiply
+their 0/1 rows through the same blocked product (``_product``), so every
+local value equals ``rh_global`` of the rebuilt smaller network,
+subtracted from the base score, bit for bit. ``rh_local`` is one step of
+that sweep.
 
 The sweep also keeps y = R' @ w' of the last node and refreshes only the
 rows of it that can change. From k-1 to k, R' and w' change only in the
-rows of anc(k-1) and anc(k), at buffer position k-1, and in w' on
-desc(k-1) and desc(k); every other node keeps its buffer position. A
-row's product depends only on its nonzero positions and on w' there:
-w' is finite and >= 0, so each zero entry adds an exact +0.0 to a
-non-negative partial sum. So a row keeps its bits whenever its base
-closure row misses T = {k-1, k} + desc(k-1) + desc(k), and the rows to
-refresh are the nodes of T and their ancestors. Those below the last
-block of ``_product`` go through gathered blocks of whole 8-row groups,
-padded with zero rows; the last block, which holds the ``n % 4`` tail
-rows, is recomputed whole at every node. The first node refreshes every
-row, and so does every node of a network whose closure holds at least
-n^2/16 pairs or whose buffer spans fewer than four product blocks: there
-most rows change anyway, or the product costs less than finding the
-rows. On the acceptance-c7 network a node refreshes about 13% of them.
+rows of anc(k-1) and anc(k), at reduced position k-1, and in w' on
+desc(k-1) and desc(k); every other node keeps its position. A row's
+product depends only on its nonzero positions and on w' there: w' is
+finite and >= 0, so each zero entry adds an exact +0.0 to a non-negative
+partial sum. So a row keeps its bits whenever its base closure row
+misses T = {k-1, k} + desc(k-1) + desc(k), and the rows to refresh are
+the nodes of T and their ancestors. Those below the last block of
+``_product`` go through gathered blocks of whole 8-row groups, padded
+with zero rows; the last block, which holds the ``n % 4`` tail rows, is
+recomputed whole at every node. The first node refreshes every row, and
+so does every node of a network whose closure holds at least n^2/16
+pairs or whose reduced matrix spans fewer than four product blocks:
+there most rows change anyway, or the product costs less than finding
+the rows. On the acceptance-c7 network a node refreshes about 13% of
+them.
 
 The float contract of every RH value is the bits of ``u @ (R @ w)`` with
-``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread.
-Both ``rh_global`` and the sweep take ``R @ w`` in small row blocks
-aligned to whole 8-row groups (``_product``), which give every row those
-bits at one and at two BLAS threads (up to n = 10,000: above it OpenBLAS
-splits the final dot product between threads). ``rh_global`` and
-``rh_local`` never hold an n x n float matrix: they unpack packed rows
-one block at a time.
+``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread
+and the final dot taken in order over pieces of at most 10,000 entries
+(``_dot``), a single dot up to n = 10,000. ``_product`` takes ``R @ w``
+in small row blocks aligned to whole 8-row groups, which give every row
+those bits at one and at two BLAS threads, and OpenBLAS runs each dot
+piece on one thread. No RH value holds an n x n matrix: rows are
+unpacked from the packed closure one block at a time.
 """
 
 from __future__ import annotations
@@ -122,8 +125,13 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     if n <= 2 or table.pair_count == 0:
         return HeterogeneityScore(0.0, n, table.pair_count)
     rows, d, a = table._rows, table.descendant_counts, table.ancestor_counts
-    value = _rh_from_reach(lambda start, stop: _unpack(rows[start:stop], n), d, a)
-    return HeterogeneityScore(value, n, table.pair_count)
+
+    def put(at: np.ndarray, out: np.ndarray) -> None:
+        out[:] = _bits(rows[at], n)
+
+    inverse, y = _inverse_roots(n), np.empty(n, dtype=np.float64)
+    _product(y, put, inverse[a], np.arange(_layout(n)[1]), _block(n))
+    return HeterogeneityScore(_rh(_dot(inverse[d], y), d, a), n, table.pair_count)
 
 
 def rh_local(network: ActivityNetwork, node: int) -> float:
@@ -131,46 +139,28 @@ def rh_local(network: ActivityNetwork, node: int) -> float:
 
     The removed node's incident edges go with it; any node isolated by the
     removal still counts toward the smaller network's normalization. The
-    smaller network's reach matrix is never held: its rows stream through
-    the blocks of ``rh_global``, the base closure rows with the rows of
-    the node's ancestors replaced and the node's column dropped, so the
-    value equals ``rh_local_all``'s bit for bit.
+    value is one step of ``rh_local_all``'s sweep, so it equals that
+    sweep's entry bit for bit, and the smaller network's reach matrix is
+    never held.
     """
     if not 0 <= node < network.n:
         raise UnknownNode(node)
-    base = rh_global(network).value
-    n, table, succ = network.n, closure(network), network.successor_lists
-    rank = np.argsort(topological_order(network))
-    cone = np.flatnonzero(table._rows[:, node >> 3] & (1 << (node & 7)))
-    cone = cone[np.argsort(-rank[cone])]
-    closed = {j: _closed(table._rows, j) for i in cone.tolist() for j in succ[i]}
-    reduced, d, a = _without_node(table, succ, closed, cone, node)
-    slot = np.full(n, -1)
-    slot[cone] = np.arange(len(cone))
-
-    def block(start: int, stop: int) -> np.ndarray:
-        nodes = np.arange(start, stop)
-        nodes += nodes >= node
-        packed, at = table._rows[nodes], slot[nodes]
-        packed[at >= 0] = reduced[at[at >= 0]]
-        return np.delete(_unpack(packed, n), node, axis=1)
-
-    return base - _rh_from_reach(block, d, a)
+    return rh_global(network).value - _ReducedReach(network).value_without(node)
 
 
 def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
-    """Local RH for every node, in one sweep over a reduced reach matrix.
+    """Local RH for every node, in one sweep over the reduced reach matrices.
 
     Each entry equals ``rh_local(network, i)`` and ``rh_global`` of the
     network rebuilt without node i, subtracted from the base score, bit for
-    bit. The sweep holds one (n-1) x (n-1) buffer of 0/1 bytes, allocated
-    after the base score is computed, one float64 block of rows to
-    multiply, and the last node's product ``R @ w``.
-    Each node recomputes only the rows of that product that can have
-    changed: a zero entry adds an exact +0.0 to a row's non-negative sum,
-    so a row keeps its bits unless it is, or reaches, a node of
-    T = {k-1, k} + desc(k-1) + desc(k), or lies in the last product block
-    (see the module docstring for the refresh rule).
+    bit. No reduced matrix is held: the sweep keeps one packed copy of the
+    closure rows, n^2/8 bytes, with the rows of the removed node's
+    ancestors replaced, one float64 block of rows to multiply, and the
+    last node's product ``R @ w``. Each node recomputes only the rows of
+    that product that can have changed: a zero entry adds an exact +0.0 to
+    a row's non-negative sum, so a row keeps its bits unless it is, or
+    reaches, a node of T = {k-1, k} + desc(k-1) + desc(k), or lies in the
+    last product block (see the module docstring for the refresh rule).
     """
     base = rh_global(network)
     reduced = _ReducedReach(network)
@@ -183,6 +173,7 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
 
 _CHUNK = 1 << 16  # matrix entries per unpack step and per product block
 _GROUP = 8  # rows per aligned block unit of ``_product``
+_DOT = 10_000  # entries per piece of ``_dot``; OpenBLAS runs a dot this long on one thread
 
 
 def _normalizer(n: int) -> float:
@@ -190,76 +181,59 @@ def _normalizer(n: int) -> float:
 
 
 class _ReducedReach:
-    """Reach matrix of a network with one node k removed, kept in one buffer.
+    """Reach matrix of a network with one node k removed, read from packed rows.
 
-    Buffer row and column r stand for node r when r < k and for node r + 1
-    otherwise, as in the network rebuilt without k. The rows of anc(k)
-    hold reach without paths through k; every other row is the base
-    closure row. ``y`` holds the buffer's blocked product with the reduced
+    Reduced row and column r stand for node r when r < k and for node r + 1
+    otherwise, as in the network rebuilt without k. ``work`` is the packed
+    closure with the rows of anc(k) replaced by their reach without paths
+    through k, and a reduced row is its ``work`` row unpacked without bit k.
+    ``y`` holds the reduced matrix's blocked product with the reduced
     network's w. Moving to k + 1 only rewrites what changes, in both.
-
-    The buffer holds 0/1 bytes, an eighth of a float64 matrix. Each
-    product block is cast into ``block``, the one float64 block kept, and
-    a uint8 to float64 cast of 0 or 1 is exact: dgemv gets the same
-    values, rows, start and size as from a float buffer, so every row
-    keeps its bits.
     """
 
     def __init__(self, network: ActivityNetwork) -> None:
-        n = network.n
-        self.n = n
+        self.n = n = network.n
         self.succ = network.successor_lists
         table = closure(network)
         self.table, self.rows = table, table._rows
+        self.work = self.rows.copy()
         self.order = np.array(topological_order(network), dtype=np.int64)
         self.rank = np.argsort(self.order)  # rank[order[r]] = r
         self.ancestors = _ancestor_rows(self.rows, self.order)
-        self.closed = [_closed(self.rows, i) for i in range(n)]
+        # closed descendant sets, each node included, as Python-int bitsets
+        self.closed = [int.from_bytes(row.tobytes(), "little") | (1 << i) for i, row in enumerate(self.rows)]
+        self.inverse = _inverse_roots(n)
         size = max(n - 1, 0)
-        self.buffer = np.empty((size, size), dtype=np.uint8)
         self.y = np.empty(size, dtype=np.float64)
         step, self.cut = _layout(size)
         # the share of rows a node refreshes ran near ten times the closure's
         # pair density on every network measured, so this keeps it under ~60%
         self.partial = self.cut >= 4 * step and 16 * table.pair_count < n * n
-        # a lone last row joins the block before it, so a block has at most step + 1 rows
-        self.block = np.empty((min(step + 1, size), size), dtype=np.float64)
+        self.block = _block(size)
         self.removed: int | None = None
         self.patched = np.empty(0, dtype=np.int64)
 
     def value_without(self, k: int) -> float:
         """RH of the network without node ``k``."""
         follows = k > 0 and self.removed == k - 1
-        d, a = self._remove(k, follows)
-        rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
-        _refresh(self.y, self.buffer, _weights(a), rows, self.block)
-        return _rh(_weights(d) @ self.y, d, a)
-
-    def _remove(self, k: int, follows: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Make the buffer hold the reach matrix without ``k``; return its counts."""
         cone = self.order[np.flatnonzero(_bits(self.ancestors[k], self.n))[::-1]]
-        if follows:
-            # Buffer row and column k-1 switch from node k to node k-1. Row
-            # k-1 and the rows patched for k-1 go back to their base closure
-            # rows. The column needs no write of its own: a row with a 1 in
-            # it, before or after, lies in anc(k-1) or anc(k), and those
-            # rows are rewritten whole.
-            stale = np.zeros(self.n, dtype=bool)
-            stale[self.patched] = True
-            stale[k - 1] = True
-            stale[cone] = False
-            stale[k] = False
-            stale = np.flatnonzero(stale)
-            _put_rows(self.buffer, stale, self.rows[stale], k)
-        else:
-            _fill(self.buffer, self.rows, k)
+        self.work[self.patched] = self.rows[self.patched]
         reduced, d, a = _without_node(self.table, self.succ, self.closed, cone, k)
-        _put_rows(self.buffer, cone, reduced, k)
+        self.work[cone] = reduced
         self.removed, self.patched = k, cone
-        return d, a
+        rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
+        _product(self.y, self._put, self.inverse[a], rows, self.block)
+        return _rh(_dot(self.inverse[d], self.y), d, a)
+
+    def _put(self, at: np.ndarray, out: np.ndarray) -> None:
+        """Write reduced rows ``at`` into ``out`` as 0/1 floats: their ``work`` rows without bit k."""
+        k = self.removed
+        reach = _bits(self.work[at + (at >= k)], self.n)
+        out[:, :k] = reach[:, :k]
+        out[:, k:] = reach[:, k + 1:]
 
     def _dirty(self, k: int) -> np.ndarray:
-        """Buffer rows below the cut whose product can differ from node k-1's.
+        """Reduced rows below the cut whose product can differ from node k-1's.
 
         Those are the rows that reach, or are, a node of T = {k-1, k} +
         desc(k-1) + desc(k): only they change, or read a w that changes.
@@ -269,11 +243,6 @@ class _ReducedReach:
         reach = np.bitwise_or.reduce(self.ancestors[touched.view(bool)], axis=0)
         dirty = _without(_bits(reach, self.n)[self.rank] | touched, k)
         return np.flatnonzero(dirty[:self.cut])
-
-
-def _closed(rows: np.ndarray, i: int) -> int:
-    """Closed descendant set of node i, itself included, as a Python-int bitset."""
-    return int.from_bytes(rows[i].tobytes(), "little") | (1 << i)
 
 
 def _ancestor_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -326,27 +295,6 @@ def _without_node(
     return reduced, _without(d, k), _without(a, k)
 
 
-def _fill(buffer: np.ndarray, rows: np.ndarray, k: int) -> None:
-    """Write every buffer row from the packed closure ``rows`` without row and column k.
-
-    Rows are unpacked in bounded chunks, so the whole 0/1 matrix never
-    exists next to the buffer.
-    """
-    step = max(1, _CHUNK // len(rows))
-    for start in range(0, len(buffer), step):
-        nodes = np.arange(start, min(start + step, len(buffer)))
-        nodes += nodes >= k
-        _put_rows(buffer, nodes, rows[nodes], k)
-
-
-def _put_rows(buffer: np.ndarray, nodes: np.ndarray, packed: np.ndarray, k: int) -> None:
-    """Write the packed rows of ``nodes`` into ``buffer`` as 0/1 bytes, without row and column k."""
-    reach = np.unpackbits(packed, axis=1, bitorder="little")
-    at = nodes - (nodes > k)
-    buffer[at, :k] = reach[:, :k]
-    buffer[at, k:] = reach[:, k + 1:len(buffer) + 1]
-
-
 def _layout(n: int) -> tuple[int, int]:
     """Rows per block of ``_product`` and the start of its last block, for n rows of n."""
     step = max(_GROUP, _CHUNK // max(n, 1) // _GROUP * _GROUP)
@@ -356,94 +304,81 @@ def _layout(n: int) -> tuple[int, int]:
     return step, blocks * step
 
 
-def _product(block, w: np.ndarray) -> np.ndarray:
-    """``R @ w`` in small row blocks; ``block(start, stop)`` gives rows start:stop of R as floats.
-
-    Every row gets the bits of the whole-matrix product under one BLAS
-    thread, at one and at two threads. OpenBLAS dgemv works on groups of
-    rows and gives the ``n % 4`` tail rows to another kernel, splits a
-    large call between threads, and sends a one-row call through a dot
-    kernel. So every block but the last is whole 8-row groups starting on
-    a multiple of 8, a block holds at most ``_CHUNK`` entries (or 8 rows,
-    whichever is more) so that it runs on one thread, and a lone last row
-    joins the block before it (``_layout``). At n=9125 packed rows take
-    about 0.7 MB of floats at a time where the whole matrix took 666 MB.
-    """
-    n = len(w)
-    step, cut = _layout(n)
-    y = np.empty(n, dtype=np.float64)
-    for start in range(0, cut, step):
-        y[start:start + step] = block(start, start + step) @ w
-    y[cut:] = block(cut, n) @ w
-    return y
+def _block(n: int) -> np.ndarray:
+    """Float64 scratch for ``_product``'s largest block over n rows of n: step + 1 rows at most."""
+    return np.empty((min(_layout(n)[0] + 1, n), n), dtype=np.float64)
 
 
-def _refresh(y: np.ndarray, buffer: np.ndarray, w: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
-    """Set ``y`` to ``buffer @ w`` at ``rows`` and at every row of ``_product``'s last block.
+def _product(y: np.ndarray, put, w: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
+    """Set ``y`` to ``R @ w`` at ``rows`` and at every row of the last block, in small row blocks.
 
-    ``buffer`` holds 0/1 bytes and ``block`` is float64 scratch with room
-    for ``_product``'s largest block. ``rows`` are sorted buffer rows below
-    the last block's cut. They go through in blocks of
-    ``_product``'s size, each cast into ``block`` and padded with zero rows
-    to whole 8-row groups. The cast of 0 and 1 is exact, so dgemv sees the
-    float values a float buffer would hold. A row's product depends only
-    on its entries, on w and on which kernel takes it, and every one of
-    these blocks sends each row through the kernel ``_product`` sends it
-    through, on one thread, so each keeps its bits. The last block, with
-    the ``n % 4`` tail rows, is cast whole and unpadded, as ``_product``
-    takes it: bytes have no float view, and padding would hand its tail
-    rows to another kernel. It can hold step + 1 rows.
+    ``put(at, out)`` writes the 0/1 rows ``at`` of R into ``out`` as floats,
+    and ``block`` is scratch from ``_block``. ``rows`` are sorted rows below
+    the cut of ``_layout``; ``rh_global`` passes all of them. Every row
+    gets the bits of the whole-matrix product under one BLAS thread, at
+    one and at two threads. OpenBLAS dgemv works on groups of rows and
+    gives the ``n % 4`` tail rows to another kernel, splits a large call
+    between threads, and sends a one-row call through a dot kernel. So
+    ``rows`` go through in blocks of whole 8-row groups, padded with zero
+    rows, that hold at most ``_CHUNK`` entries (or 8 rows, whichever is
+    more) and so run on one thread. A row's product depends only on its
+    entries, on w and on which kernel takes it, so a gathered row keeps
+    the bits it has among consecutive rows. The last block, with the tail
+    rows, is taken whole and unpadded, since padding would hand its tail
+    rows to another kernel; a lone last row joins the block before it
+    (``_layout``), so it can hold step + 1 rows. At n=9125 a block takes
+    about 0.7 MB of floats where the whole matrix took 666 MB.
     """
     n = len(w)
     step, cut = _layout(n)
     for start in range(0, len(rows), step):
         at = rows[start:start + step]
         padded = block[:-(-len(at) // _GROUP) * _GROUP]
-        padded[:len(at)] = buffer[at]
+        put(at, padded[:len(at)])
         padded[len(at):] = 0.0
         y[at] = (padded @ w)[:len(at)]
     last = block[:n - cut]
-    last[:] = buffer[cut:]
+    put(np.arange(cut, n), last)
     y[cut:] = last @ w
+
+
+def _dot(u: np.ndarray, y: np.ndarray) -> float:
+    """``u @ y`` summed in order over pieces of at most ``_DOT`` entries.
+
+    OpenBLAS splits a longer dot between threads, which can change its
+    last bit; a piece this long runs on one thread. Up to ``_DOT``
+    entries this is the one whole dot.
+    """
+    total = u[:_DOT] @ y[:_DOT]
+    for start in range(_DOT, len(u), _DOT):
+        total += u[start:start + _DOT] @ y[start:start + _DOT]
+    return float(total)
 
 
 def _bits(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=-1, count=n, bitorder="little")
 
 
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    return _bits(packed, n).astype(np.float64)
-
-
 def _without(values: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((values[:k], values[k + 1:]))
 
 
-def _weights(counts: np.ndarray) -> np.ndarray:
-    """1/sqrt(count) where the count is positive, else 0."""
-    out = 1.0 / np.sqrt(np.maximum(counts, 1), dtype=np.float64)
-    out[counts == 0] = 0.0
+def _inverse_roots(n: int) -> np.ndarray:
+    """1/sqrt(c) for every count c < n, and 0 at c = 0: a network's weights, indexed by its counts."""
+    out = np.zeros(n, dtype=np.float64)
+    out[1:] = 1.0 / np.sqrt(np.arange(1, n, dtype=np.float64))
     return out
 
 
-def _rh_from_reach(block, d: np.ndarray, a: np.ndarray) -> float:
-    """RH value of a 0/1 reach matrix R with row sums ``d`` and column sums ``a``.
-
-    ``block(start, stop)`` gives rows of R as floats (see ``_product``).
-    The pair sum expands to ``#(i: d_i > 0) + #(j: a_j > 0) - 2 * u' R w``
-    with u = 1/sqrt(d) and w = 1/sqrt(a), so one matrix-vector product
-    replaces iteration over every reachable pair. Every summed term has
-    d_i >= 1 and a_j >= 1 by construction, so no division by zero can
-    occur. The float contract is the bits of ``u @ (R @ w)`` with
-    ``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS
-    thread.
-    """
-    w = _weights(a)
-    return _rh(_weights(d) @ _product(block, w), d, a)
-
-
 def _rh(cross: float, d: np.ndarray, a: np.ndarray) -> float:
-    """RH value from ``cross = u' R w`` and the counts; 0 at n <= 2."""
+    """RH value of a 0/1 reach matrix R with row sums ``d`` and column sums ``a``; 0 at n <= 2.
+
+    The pair sum expands to ``#(i: d_i > 0) + #(j: a_j > 0) - 2 * u' R w``
+    with u = 1/sqrt(d) and w = 1/sqrt(a), so ``cross = u' R w``, one
+    matrix-vector product and one dot, replaces iteration over every
+    reachable pair. Every summed term has d_i >= 1 and a_j >= 1 by
+    construction, so no division by zero can occur.
+    """
     n = len(d)
     if n <= 2:
         return 0.0

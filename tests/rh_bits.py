@@ -9,15 +9,18 @@ network it prints:
 * ``value``: ``rh_global(net).value`` as a float hex string;
 * ``dense``: ``oracles.dense_rh(net)``, the whole-matrix expression;
 * ``streamed`` and ``whole``: sha256 digests of ``R @ w`` taken by the
-  library's blocked product from packed rows and by one whole-matrix
-  product, for the network's closure R and w = 1/sqrt(ancestor counts);
+  library's blocked product of every row from packed rows and by one
+  whole-matrix product, for the network's closure R and
+  w = 1/sqrt(ancestor counts);
 * with ``--local`` only: ``local``, a digest of ``rh_local_all(net).values``,
   and for the run of nodes ``RUN``: ``sampled``, the sweep's values there;
   ``single``, ``rh_local`` at each; and ``rebuilt``, the base score minus
   ``rh_global`` of the network rebuilt without each.
 
 A ``wide-N`` name prints only ``streamed``, for N random packed 0/1 rows
-of N bits, which never exist as one float matrix.
+of N bits, which never exist as one float matrix. A ``dot-N`` name prints
+only ``dot``, the library's final dot of two seeded random vectors of N
+entries, as a float hex string.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from oracles import dense_rh, make_network, without_node
 from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local, rh_local_all
-from schednet.heterogeneity import _product, _unpack
+from schednet.heterogeneity import _block, _dot, _layout, _product
 from schednet.reachability import closure
 
 
@@ -91,6 +94,18 @@ def weights(a):
     return w
 
 
+def streamed(rows, w):
+    """Digest of ``R @ w`` by the library's blocked product of every row, from packed rows R."""
+    n = len(w)
+    y = np.empty(n)
+
+    def put(at, out):
+        out[:] = np.unpackbits(rows[at], axis=1, count=n, bitorder="little")
+
+    _product(y, put, w, np.arange(_layout(n)[1]), _block(n))
+    return _digest(y)
+
+
 def bits(network, local=False):
     n = network.n
     table = closure(network)
@@ -99,7 +114,7 @@ def bits(network, local=False):
     out = {
         "value": rh_global(network).value.hex(),
         "dense": dense_rh(network).hex(),
-        "streamed": _digest(_product(lambda start, stop: _unpack(table._rows[start:stop], n), w)),
+        "streamed": streamed(table._rows, w),
         "whole": _digest(whole @ w),
     }
     if local:
@@ -116,7 +131,12 @@ def wide(n):
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 256, size=(n, (n + 7) // 8), dtype=np.uint8)
     w = weights(rng.integers(1, n, size=n))
-    return {"streamed": _digest(_product(lambda start, stop: _unpack(rows[start:stop], n), w))}
+    return {"streamed": streamed(rows, w)}
+
+
+def dot(n):
+    rng = np.random.default_rng(n)
+    return {"dot": _dot(rng.random(n), rng.random(n)).hex()}
 
 
 if __name__ == "__main__":
@@ -125,6 +145,8 @@ if __name__ == "__main__":
     for name in sys.argv[1:]:
         if name.startswith("wide-"):
             out[name] = wide(int(name[len("wide-"):]))
+        elif name.startswith("dot-"):
+            out[name] = dot(int(name[len("dot-"):]))
         elif name != "--local":
             out[name] = bits(NETWORKS[name](), local)
     json.dump(out, sys.stdout)

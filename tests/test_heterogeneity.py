@@ -269,7 +269,7 @@ class TestFloatContract:
 
     @openblas_kernels
     def test_local_sweep_keeps_its_bits_at_two_threads(self):
-        # one whole-buffer dgemv per node gives this network other local values at two threads
+        # one whole-matrix dgemv per node gives this network other local values at two threads
         one = rh_bits(["dense"], 1, local=True)["dense"]
         two = rh_bits(["dense"], 2, local=True)["dense"]
         assert two["local"] == one["local"]
@@ -305,6 +305,14 @@ class TestFloatContract:
         names = ["wide-8200", "wide-9125"]
         assert rh_bits(names, 2) == rh_bits(names, 1)
 
+    @openblas_kernels
+    def test_final_dot_keeps_its_bits_at_two_threads(self):
+        # OpenBLAS splits one dot of 20,000 entries between two threads
+        assert rh_bits(["dot-20000"], 2) == rh_bits(["dot-20000"], 1)
+        rng = np.random.default_rng(3)
+        u, y = rng.random(heterogeneity._DOT), rng.random(heterogeneity._DOT)
+        assert heterogeneity._dot(u, y) == u @ y  # one piece is the whole dot
+
     def test_never_holds_the_dense_matrix(self):
         net = screening_network()
         reachability_table(net)  # the kept closure is the input, not working memory
@@ -317,7 +325,7 @@ class TestFloatContract:
         peak = traced_peak(rh_local, net, deepest)
         assert peak < (net.n - 1) ** 2 * 8 / 8  # an eighth of the reduced float64 matrix
 
-    def test_three_sweep_steps_hold_a_quarter_of_the_matrix(self):
+    def test_three_sweep_steps_never_hold_the_byte_matrix(self):
         net = screening_network()
         deepest = int(np.argmax(reachability_table(net).ancestor_counts))  # the closure is kept outside the trace
         start = min(deepest, net.n - 3)
@@ -327,7 +335,7 @@ class TestFloatContract:
             for k in range(start, start + 3):
                 reduced.value_without(k)
 
-        assert traced_peak(sweep_three_nodes) < (net.n - 1) ** 2 * 8 / 4
+        assert traced_peak(sweep_three_nodes) < (net.n - 1) ** 2  # one byte per reduced entry
 
 
 class TestClosureProperties:
@@ -445,13 +453,16 @@ def sparse():
 
 
 def assert_keeps_blocked_product(net):
-    """After every node of the sweep, ``y`` has the bits of ``_product`` over the cast byte buffer."""
-    reduced = heterogeneity._ReducedReach(net)
+    """After every node of the partial sweep, ``y`` has the bits of the full blocked product.
+
+    The full sweep, stepped alongside, recomputes every row of the same
+    reduced matrix at every node.
+    """
+    reduced, full = heterogeneity._ReducedReach(net), heterogeneity._ReducedReach(net)
+    reduced.partial, full.partial = True, False
     for k in range(net.n):
-        reduced.value_without(k)
-        w = heterogeneity._weights(reduced.buffer.sum(axis=0, dtype=np.int64))
-        whole = heterogeneity._product(lambda start, stop: reduced.buffer[start:stop].astype(np.float64), w)
-        assert reduced.y.tobytes() == whole.tobytes(), k
+        assert reduced.value_without(k) == full.value_without(k), k
+        assert reduced.y.tobytes() == full.y.tobytes(), k
 
 
 class TestPartialRefresh:
@@ -482,17 +493,18 @@ class TestPartialRefresh:
 
     def test_refreshes_at_most_a_quarter_of_the_row_products_on_c7(self, c7, monkeypatch):
         cut = heterogeneity._layout(c7.n - 1)[1]
-        real, refreshed = heterogeneity._refresh, []
+        real, refreshed = heterogeneity._product, []
 
-        def counting(y, buffer, w, rows, gathered):
-            refreshed.append(len(rows) + len(y) - cut)  # the last block is taken whole
-            real(y, buffer, w, rows, gathered)
+        def counting(y, put, w, rows, block):
+            if len(y) == c7.n - 1:  # the sweep's products, not rh_global's
+                refreshed.append(len(rows) + len(y) - cut)  # the last block is taken whole
+            real(y, put, w, rows, block)
 
-        monkeypatch.setattr(heterogeneity, "_refresh", counting)
+        monkeypatch.setattr(heterogeneity, "_product", counting)
         rh_local_all(c7)
         assert len(refreshed) == c7.n
         assert sum(refreshed) <= c7.n * (c7.n - 1) / 4
 
     def test_sweep_peaks_under_a_quarter_of_the_float_matrix(self, c7):
-        # the buffer holds 0/1 bytes, an eighth of (n-1)^2 float64 entries
+        # the sweep holds packed rows and one float block, no reduced matrix
         assert traced_peak(rh_local_all, c7) < (c7.n - 1) ** 2 * 8 / 4
