@@ -10,12 +10,13 @@ use unit edge weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .heterogeneity import LocalRHVector, rh_local_all
 from .network import ActivityNetwork
-from .reachability import ReachabilityTable, reachability_table
+from .reachability import ReachabilityTable, closure, reachability_table
 
 METRIC_NAMES = (
     "in_degree",
@@ -54,53 +55,48 @@ def degree_metrics(network: ActivityNetwork) -> tuple[MetricVector, MetricVector
 def betweenness(network: ActivityNetwork) -> MetricVector:
     """Directed shortest-path betweenness, unnormalized, endpoints excluded.
 
-    Brandes' algorithm: one breadth-first search per source counts the
-    shortest paths ``sigma``, then the dependencies ``delta`` are
-    accumulated back over the visited nodes. The floating-point result is
-    fixed by the summation order, which is part of the contract: sources
-    ascend by index, each ``sigma[w]`` sums its shortest-path predecessors
-    in visit order, and each ``delta[v]`` receives its contributions in
-    reverse visit order of ``w``. The distance, path-count and dependency
-    lists are shared by all sources; after each source only the nodes it
-    visited are reset.
+    Brandes' algorithm over batches of consecutive sources, each batch
+    searched together level by level (:func:`_levels`): the shortest-path
+    counts ``sigma`` go forward over the levels, then the dependencies
+    ``delta`` go back over them. The floating-point result is fixed by the
+    summation order, which is part of the contract:
+
+    - ``sigma[w]`` is one ``np.bincount`` over the edges (v, w) into w's
+      level, in queue-then-adjacency order of v;
+    - ``delta[v]`` is one ``np.bincount`` over the edges (v, w) out of v's
+      level, stably sorted by descending queue position of w;
+    - each node's score receives its per-source ``delta`` by ``np.add.at``
+      in ascending source order, within a batch and across batches.
+
+    These are the bits of one search per source with the sources in
+    ascending order, whatever the batch limits (:func:`_limits`). The
+    reach counts of the kept closure size the batches.
     """
-    succ = network.successor_lists
-    pred = network.predecessor_lists
     n = network.n
-    score = [0.0] * n
-    dist = [-1] * n
-    sigma = [0.0] * n
-    delta = [0.0] * n
-    for source in range(n):
-        if not succ[source]:
-            continue
-        dist[source] = 0
-        sigma[source] = 1.0
-        visited = [source]
-        for v in visited:  # the visit list is the queue: it grows as it is read
-            step = dist[v] + 1
-            sv = sigma[v]
-            for w in succ[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = step
-                    sigma[w] = sv  # the same bits as 0.0 + sv
-                    visited.append(w)
-                elif dw == step:
-                    sigma[w] += sv
-        for w in visited[:0:-1]:
-            # Only visited nodes have dist >= 0, and w is not the source, so
-            # this keeps exactly the predecessors on w's shortest paths.
-            up = dist[w] - 1
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in pred[w]:
-                if dist[v] == up:
-                    delta[v] += sigma[v] * coeff
-            score[w] += delta[w]
-        for v in visited:
-            dist[v] = -1
-            delta[v] = 0.0
-    return MetricVector("betweenness", np.array(score, dtype=np.float64))
+    adjacency = _adjacency(network, reversed_edges=False)
+    bounds, stamp = _batches(n, closure(network).descendant_counts)
+    score = np.zeros(n, dtype=np.float64)
+    for start, stop in bounds:
+        levels = list(_levels(adjacency, n, np.arange(start, stop), stamp))
+        sigma = [np.ones(stop - start)]
+        for keys, parent, child in levels:
+            sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
+        reached, dependency = [], []
+        delta = np.zeros(len(sigma[-1]))
+        while levels:  # deepest first, dropping each level once it is used
+            keys, parent, child = levels.pop()
+            reached.append(keys)
+            dependency.append(delta)
+            coeff = (1.0 + delta) / sigma.pop()
+            order = np.argsort(-child, kind="stable")
+            parent = parent[order]
+            up = sigma[-1]
+            delta = np.bincount(parent, weights=up[parent] * coeff[child[order]], minlength=len(up))
+        if reached:
+            keys = np.concatenate(reached)
+            order = np.argsort(keys // n, kind="stable")
+            np.add.at(score, keys[order] % n, np.concatenate(dependency)[order])
+    return MetricVector("betweenness", score)
 
 
 def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricVector:
@@ -112,34 +108,112 @@ def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricV
     network (distance *to* i), which the metric suite reports as
     ``reverse_closeness``.
 
-    Each source runs a level-by-level breadth-first search. ``seen[w]``
-    holds the last source that reached w, so one list serves every source
-    without a reset, and r and the distance sum stay exact integers.
+    Batches of consecutive sources are searched together level by level
+    (:func:`_levels`). Each level adds one ``np.bincount`` of its new
+    (source, node) pairs per source to r, and depth times that to the
+    distance sum, so both stay exact integers.
     """
-    adjacency = network.predecessor_lists if reversed_edges else network.successor_lists
     n = network.n
+    adjacency = _adjacency(network, reversed_edges)
+    bounds, stamp = _batches(n)
     values = np.zeros(n, dtype=np.float64)
-    seen = [-1] * n
-    for source in range(n):
-        if not adjacency[source]:
-            continue
-        seen[source] = source
-        frontier = [source]
-        reached = total = depth = 0
-        while frontier:
-            depth += 1
-            level = []
-            for v in frontier:
-                for w in adjacency[v]:
-                    if seen[w] != source:
-                        seen[w] = source
-                        level.append(w)
-            reached += len(level)
-            total += depth * len(level)
-            frontier = level
-        values[source] = (reached / (n - 1)) * (reached / total)
+    for start, stop in bounds:
+        reached = np.zeros(stop - start, dtype=np.int64)
+        total = np.zeros(stop - start, dtype=np.int64)
+        for depth, (keys, _, _) in enumerate(_levels(adjacency, n, np.arange(start, stop), stamp), 1):
+            count = np.bincount(keys // n, minlength=stop - start)
+            reached += count
+            total += depth * count
+        hit = np.flatnonzero(reached)
+        values[start + hit] = (reached[hit] / (n - 1)) * (reached[hit] / total[hit])
     name = "reverse_closeness" if reversed_edges else "closeness"
     return MetricVector(name, values)
+
+
+def _limits(n: int) -> tuple[int, int]:
+    """The most sources, and the most reached (source, node) pairs, in one batch.
+
+    A batch's int32 visit stamps take half the bytes of the kept closure,
+    n*n/8, but at least 512 KB and at most 8 MB; its reached pairs number
+    at most a 32nd of its stamps.
+    """
+    stamps = min(max(n * n // 64, 1 << 17), 1 << 21)
+    return max(1, min(n, stamps // max(n, 1))), stamps // 32
+
+
+def _batches(n: int, reach: np.ndarray | None = None) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Runs ``(start, stop)`` of consecutive sources, and the stamps they share.
+
+    With ``reach``, each source's count of reached nodes, a run also keeps
+    to the pair limit, but a run always holds at least one source.
+    """
+    size, pairs = _limits(n)
+    cumulative = None if reach is None else np.concatenate(([0], np.cumsum(reach)))
+    bounds = []
+    start = 0
+    while start < n:
+        stop = min(start + size, n)
+        if cumulative is not None:
+            stop = min(stop, int(np.searchsorted(cumulative, cumulative[start] + pairs, side="right")) - 1)
+        stop = max(stop, start + 1)
+        bounds.append((start, stop))
+        start = stop
+    widest = max((stop - start for start, stop in bounds), default=0)
+    return bounds, np.full(widest * n, -1, dtype=np.int32)
+
+
+def _adjacency(network: ActivityNetwork, reversed_edges: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays ``(start, degree, neighbours)`` of the successors, or of the predecessors.
+
+    ``network.edges`` is sorted, so each node's neighbours come in ascending
+    order, as in the network's adjacency lists.
+    """
+    edges = np.array(network.edges, dtype=np.int64).reshape(-1, 2)
+    if reversed_edges:
+        edges = edges[np.argsort(edges[:, 1], kind="stable"), ::-1]
+    degree = np.bincount(edges[:, 0], minlength=network.n)
+    return np.cumsum(degree) - degree, degree, edges[:, 1].copy()
+
+
+def _levels(
+    adjacency: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, sources: np.ndarray, stamp: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first levels of a batch of sources, searched together.
+
+    The pair (source b of the batch, node w) is the key ``b * n + w``, and
+    ``stamp[key]`` turns non-negative once the pair is reached. For each
+    level after the sources this yields ``(keys, parent, child)``: ``keys``
+    holds the level's new pairs in discovery order, and each edge that
+    ends a shortest path in the level is one entry of ``parent`` (the
+    position of its tail among the previous level's keys) and of ``child``
+    (the position of its head among ``keys``), in queue-then-adjacency
+    order. Stamping the edges' positions in reverse leaves each new pair's
+    first occurrence in its stamp (numpy assigns repeated indices in
+    order, so the last write wins), and the discovery order needs no sort.
+    The stamps are back at -1 once the batch is done.
+    """
+    start, degree, neighbours = adjacency
+    keys = np.arange(len(sources), dtype=np.int64) * n + sources
+    stamp[keys] = 0
+    visited = [keys]
+    while True:
+        nodes = keys % n
+        count = degree[nodes]
+        parent = np.repeat(np.arange(len(keys), dtype=np.int32), count)
+        shift = np.repeat(start[nodes] - (np.cumsum(count) - count), count)
+        head = np.repeat(keys - nodes, count) + neighbours[shift + np.arange(len(parent))]
+        fresh = stamp[head] < 0
+        parent, head = parent[fresh], head[fresh]
+        if not len(head):
+            break
+        position = np.arange(len(head), dtype=np.int32)
+        stamp[head[::-1]] = position[::-1]
+        first = stamp[head]
+        new = first == position
+        keys = head[new]
+        visited.append(keys)
+        yield keys, parent, (np.cumsum(new, dtype=np.int32) - 1)[first]
+    stamp[np.concatenate(visited)] = -1
 
 
 def metric_vector(

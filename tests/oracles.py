@@ -8,17 +8,30 @@ betweenness. None of it shares code with the implementations it checks.
 are the earlier dict-based Brandes and BFS-closeness implementations, kept
 unchanged as the reference for the library's floating-point path. The
 library must reproduce their bytes, not merely their values.
+
+``screening_network`` and ``traced_peak`` are the network and the
+tracemalloc helper that the working-memory checks share.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import deque
 from datetime import date
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from schednet import ActivityNetwork, ActivityRecord, Dependency, build_network
+from schednet import (
+    ActivityNetwork,
+    ActivityRecord,
+    Dependency,
+    GeneratorConfig,
+    build_network,
+    generate_dag,
+    prune_isolated,
+)
 
 DAY0 = date(2021, 1, 1)
 DAY4 = date(2021, 1, 5)
@@ -55,6 +68,25 @@ def random_network(rng, n_min=2, n_max=12, p=None, ensure_edge=False):
     if ensure_edge and not pairs and n >= 2:
         pairs = [(ids[0], ids[1])]
     return make_network(ids, pairs)
+
+
+def screening_network():
+    """A generated network of about 3000 nodes, the size where a dense float matrix shows."""
+    net = prune_isolated(
+        generate_dag(GeneratorConfig(layer_count=66, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11))
+    )
+    assert 2800 <= net.n <= 3200
+    return net
+
+
+def traced_peak(function, *args):
+    """Peak traced Python memory while ``function(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dfs_reachable_sets(succ):
@@ -103,14 +135,11 @@ def rh_from_pair_sum(succ, n):
     return total / (n - 2.0 * math.sqrt(n - 1))
 
 
-def dense_rh(network):
-    """RH as one whole-matrix float64 product ``u @ (R @ w)``.
+def reach_matrix(network):
+    """The n x n boolean reach matrix, built as rows in reverse topological order.
 
-    R is the n x n 0/1 reach matrix, built as boolean rows in reverse
-    topological order (a plain Kahn sort), then converted to float64 in
-    one piece. This is the library's float contract: the expansion
-    ``#sources + #targets - 2 u'Rw``, the clamp at 0 and the normalizer,
-    with the product taken as one dgemv.
+    The order is a plain Kahn sort; row i is the union of i's successors
+    and their rows.
     """
     n = network.n
     succ = network.successor_lists
@@ -126,6 +155,19 @@ def dense_rh(network):
         for j in succ[i]:
             reach[i, j] = True
             reach[i] |= reach[j]
+    return reach
+
+
+def dense_rh(network):
+    """RH as one whole-matrix float64 product ``u @ (R @ w)``.
+
+    R is :func:`reach_matrix`, converted to float64 in one piece. This is
+    the library's float contract: the expansion
+    ``#sources + #targets - 2 u'Rw``, the clamp at 0 and the normalizer,
+    with the product taken as one dgemv.
+    """
+    n = network.n
+    reach = reach_matrix(network)
     d = reach.sum(axis=1)
     a = reach.sum(axis=0)
     if n <= 2 or not d.any():
@@ -139,6 +181,32 @@ def dense_rh(network):
     if raw < 0.0:
         raw = 0.0
     return raw / (n - 2.0 * math.sqrt(n - 1))
+
+
+def decimal_rh(network, digits=40):
+    """Global RH as a ``Decimal`` of ``digits`` significant digits.
+
+    The reachable pairs of :func:`reach_matrix` are grouped by their
+    (d_i, a_j) counts, and each group adds ``count * (1/sqrt(d) - 1/sqrt(a))^2``
+    in decimal arithmetic, so no float rounding and no cancellation enters
+    the sum. Zero for at most two nodes or no reachable pair.
+    """
+    n = network.n
+    reach = reach_matrix(network)
+    d = reach.sum(axis=1)
+    a = reach.sum(axis=0)
+    rows, cols = np.nonzero(reach)
+    if n <= 2 or not len(rows):
+        return Decimal(0)
+    groups, counts = np.unique(d[rows] * (n + 1) + a[cols], return_counts=True)
+    with localcontext() as context:
+        context.prec = digits
+        inverse_root = [Decimal(0)] + [1 / Decimal(c).sqrt() for c in range(1, n + 1)]
+        raw = sum(
+            count * (inverse_root[g // (n + 1)] - inverse_root[g % (n + 1)]) ** 2
+            for g, count in zip(groups.tolist(), counts.tolist())
+        )
+        return raw / (n - 2 * Decimal(n - 1).sqrt())
 
 
 def enumerate_betweenness(succ, n):

@@ -8,7 +8,7 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,16 @@ from schednet import (
     rh_local_all,
 )
 from schednet import heterogeneity
-from oracles import make_network, make_records, random_network, rh_from_pair_sum, without_node
+from oracles import (
+    decimal_rh,
+    make_network,
+    make_records,
+    random_network,
+    rh_from_pair_sum,
+    screening_network,
+    traced_peak,
+    without_node,
+)
 from rh_bits import NETWORKS
 
 
@@ -161,6 +170,30 @@ class TestRhGlobal:
         assert "n=6" in caplog.records[0].getMessage()
 
 
+class TestDecimalOracle:
+    """RH against a 40-digit decimal sum of the same pairs.
+
+    Measured relative error of ``rh_global``: -3.2e-16 on small-0 (n=96),
+    4.3e-18 on c7 (n=1208), 5.3e-16 on dense (n=1357) and 9.3e-17 on the
+    screening network (n=2986).
+    """
+
+    @pytest.mark.parametrize("name", ["small-0", "c7", "dense", "screening"])
+    def test_global_within_1e15_relative(self, name):
+        net = screening_network() if name == "screening" else NETWORKS[name]()
+        exact = decimal_rh(net)
+        assert abs((Decimal(rh_global(net).value) - exact) / exact) < Decimal("1e-15")
+
+    @pytest.mark.parametrize("name, samples", [("c7", 25), ("dense", 8)])
+    def test_local_within_1e15_absolute(self, name, samples):
+        # a local value is a difference of two scores near 0.4, so its error is absolute
+        net = NETWORKS[name]()
+        base = decimal_rh(net)
+        for v in np.random.default_rng(11).choice(net.n, samples, replace=False).tolist():
+            exact = base - decimal_rh(without_node(net, v))
+            assert abs(Decimal(rh_local(net, v)) - exact) < Decimal("1e-15"), v
+
+
 def rh_bits(names, threads=1, coretype=None, local=False):
     """Run ``rh_bits.py`` for ``names`` in a child with the given BLAS threads and kernel."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -216,25 +249,6 @@ SWEEP_TAILS = {
 @pytest.fixture(scope="module")
 def one_thread_bits():
     return rh_bits([name for names in CONTRACT_SETS.values() for name in names])
-
-
-def screening_network():
-    """A generated network of about 3000 nodes, the size where a dense float matrix shows."""
-    net = prune_isolated(
-        generate_dag(GeneratorConfig(layer_count=66, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11))
-    )
-    assert 2800 <= net.n <= 3200
-    return net
-
-
-def traced_peak(function, *args):
-    """Peak traced Python memory while ``function(*args)`` runs, in bytes."""
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestFloatContract:

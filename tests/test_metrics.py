@@ -24,6 +24,7 @@ from schednet import (
     tail_distribution,
     weakly_connected_components,
 )
+from schednet import metrics
 from schednet.cli import _metrics_csv
 from schednet.performance import DelayVector
 from oracles import (
@@ -33,12 +34,25 @@ from oracles import (
     make_network,
     make_records,
     random_network,
+    screening_network,
+    traced_peak,
 )
 
 # the acceptance-c7 topology: n=1208, sparse and shallow
 C7 = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
 # denser and deeper: n=1560, 325k reachable pairs
 DEEP = GeneratorConfig(layer_count=40, layer_width=40, edge_probability=0.015, skip_depth=3, seed=13)
+
+
+PATH_METRICS = ("betweenness", "closeness", "reverse_closeness")
+
+DEFAULT_LIMITS = metrics._limits
+# batch limits (most sources, most reached pairs) under which the bits must hold
+BATCH_LIMITS = {
+    "one source per batch": lambda n: (1, DEFAULT_LIMITS(n)[1]),
+    "one pair per batch": lambda n: (DEFAULT_LIMITS(n)[0], 1),
+    "default": DEFAULT_LIMITS,
+}
 
 
 def relabelled(net, perm):
@@ -148,29 +162,46 @@ class TestShortestPathFloatPath:
     """
 
     @staticmethod
-    def assert_same_bytes(net):
-        ours = path_metrics(net)
+    def assert_same_bytes(net, monkeypatch):
         reference = (dict_betweenness(net), dict_closeness(net), dict_closeness(net, reversed_edges=True))
-        for name, got, want in zip(("betweenness", "closeness", "reverse_closeness"), ours, reference):
-            assert got.tobytes() == want.tobytes(), name
+        for setting, limits in BATCH_LIMITS.items():
+            monkeypatch.setattr(metrics, "_limits", limits)
+            for name, got, want in zip(PATH_METRICS, path_metrics(net), reference):
+                assert got.tobytes() == want.tobytes(), (name, setting)
 
-    def test_c7_topology(self):
-        self.assert_same_bytes(generate_dag(C7))
+    def test_c7_topology(self, monkeypatch):
+        self.assert_same_bytes(generate_dag(C7), monkeypatch)
 
-    def test_dense_schedules(self):
+    def test_deep_topology_across_batches(self, monkeypatch):
+        # at the default limits a node's score takes its per-source adds from several batches
+        net = generate_dag(DEEP)
+        bounds, _ = metrics._batches(net.n, reachability_table(net).descendant_counts)
+        assert len(bounds) >= 10 and min(stop - start for start, stop in bounds) >= 2
+        self.assert_same_bytes(net, monkeypatch)
+
+    def test_dense_schedules(self, monkeypatch):
         for seed in range(24):
             net = generate_dag(
                 GeneratorConfig(layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3, seed=seed)
             )
             fanout = np.array([len(children) for children in net.successor_lists])
             assert fanout.max() >= 3
-            self.assert_same_bytes(net)
+            self.assert_same_bytes(net, monkeypatch)
 
-    def test_random_dags_with_shuffled_ids(self):
+    def test_random_dags_with_shuffled_ids(self, monkeypatch):
         rng = np.random.default_rng(127)
         for _ in range(60):
             net = random_network(rng, n_min=3, n_max=40)
-            self.assert_same_bytes(relabelled(net, rng.permutation(net.n)))
+            self.assert_same_bytes(relabelled(net, rng.permutation(net.n)), monkeypatch)
+
+
+class TestShortestPathMemory:
+    def test_each_call_peaks_under_the_kept_closure(self):
+        # a batch holds visit stamps and its own levels: no n-wide float rows, no whole pair list
+        net = screening_network()
+        reachability_table(net)  # the kept closure is the input, not working memory
+        for name in PATH_METRICS:
+            assert traced_peak(metric_vector, net, name) < net.n * net.n / 8, name
 
 
 class TestNetworkxOracle:
