@@ -19,7 +19,6 @@ from schednet import (
     bin_by_metric,
     generate_dag,
     metric_suite,
-    rh_local_all,
     simulate_delays,
     start_delay,
     suggest_bin_count,
@@ -44,8 +43,7 @@ print(f"{network.n} activities; start delay: min {values.min()}, "
 print(f"started as planned: {(values == 0).mean():.0%}")
 
 # --- bin the delays along the local RH axis -----------------------------------
-local = rh_local_all(simulated)
-axis = next(v for v in metric_suite(simulated, local_rh=local) if v.name == "local_rh")
+axis = next(v for v in metric_suite(simulated) if v.name == "local_rh")
 n_bins = suggest_bin_count(axis, delays)
 stats = bin_by_metric(axis, delays, n_bins)
 print(f"\nstart delay vs local RH ({n_bins} equal-width bins):")

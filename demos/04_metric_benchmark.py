@@ -19,8 +19,6 @@ from schednet import (
     PropagationConfig,
     benchmark_metrics,
     generate_dag,
-    metric_suite,
-    rh_local_all,
     simulate_delays,
     start_delay,
 )
@@ -37,9 +35,7 @@ simulated = simulate_delays(
 )
 delays = start_delay(simulated)
 
-local = rh_local_all(simulated)
-suite = metric_suite(simulated, local_rh=local)
-report = benchmark_metrics(simulated, delays, suite=suite)
+report = benchmark_metrics(simulated, delays)
 
 print(f"{network.n} activities, {report.n_bins} bins per axis\n")
 print(f"{'metric':20s} {'MI (nats)':>10s} {'MI (bits)':>10s} {'rank':>5s}")

@@ -34,7 +34,7 @@ from .errors import (
     SelfLoop,
     UnknownActivityId,
 )
-from .heterogeneity import LocalRHVector, rh_local_all
+from .heterogeneity import rh_local_all
 from .infoanalysis import BenchmarkReport, benchmark_metrics
 from .metrics import METRIC_NAMES, MetricVector, metric_suite, metric_vector
 from .network import ActivityNetwork, Dependency, prune_isolated, weakly_connected_components
@@ -178,15 +178,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{key}: {value}")
     print("acyclic: true")
     if args.out:
-        out_dir = _ensure_dir(args.out)
         report = _manifest("validate", run.inputs, _parameters(args), run.stats, {}, [])
-        _write(out_dir, "validate.json", _json(report))
+        out_dir = _save(args.out, {"validate.json": _json(report)})
         print(f"report: {out_dir / 'validate.json'}")
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    out_dir = _ensure_dir(args.out or "schednet_out")
     run = _Run(args)
     try:
         run.delays
@@ -194,17 +192,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except NoValidDelays:
         logger.warning("no actual %s dates in the schedule; skipping delay bins and benchmark", args.metric)
         has_delays = False
-    names = [name for name in ARTIFACTS if has_delays or name not in DELAY_ARTIFACTS]
-    artifacts = [_write(out_dir, name, ARTIFACTS[name](run)) for name in names]
+    texts = {name: render(run) for name, render in ARTIFACTS.items() if has_delays or name not in DELAY_ARTIFACTS}
+    global_rh = rh_local_all(run.network).global_score.value
     results = {
-        "global_rh": run.local.global_score.value,
+        "global_rh": global_rh,
         "delay_bins": run.n_bins if has_delays else None,
         "benchmark_bins": run.report.n_bins if has_delays else None,
     }
+    artifacts = [(name, hashlib.sha256(text.encode("utf-8")).hexdigest()) for name, text in texts.items()]
     manifest = _manifest("analyze", run.inputs, _parameters(args), run.stats, results, artifacts)
-    _write(out_dir, "manifest.json", _json(manifest))
-    print(f"global_rh: {_fmt(run.local.global_score.value)}")
-    print(f"artifacts: {len(artifacts) + 1} files in {out_dir}")
+    out_dir = _save(args.out or "schednet_out", {**texts, "manifest.json": _json(manifest)})
+    print(f"global_rh: {_fmt(global_rh)}")
+    print(f"artifacts: {len(texts) + 1} files in {out_dir}")
     return EXIT_OK
 
 
@@ -215,10 +214,8 @@ def _cmd_subset(args: argparse.Namespace) -> int:
     if not args.out:
         print(ARTIFACTS[names[0]](run), end="")
         return EXIT_OK
-    texts = {name: ARTIFACTS[name](run) for name in names}  # a failing stage leaves no --out dir
-    out_dir = _ensure_dir(args.out)
-    for name, text in texts.items():
-        _write(out_dir, name, text)
+    out_dir = _save(args.out, {name: ARTIFACTS[name](run) for name in names})
+    for name in names:
         print(f"wrote: {out_dir / name}")
     return EXIT_OK
 
@@ -257,7 +254,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         {},
         artifacts,
     )
-    _write(out_dir, "manifest.json", _json(manifest))
+    _save(out_dir, {"manifest.json": _json(manifest)})
     print(f"schedule: {network.n} activities, {len(network.edges)} dependencies -> {out_dir}")
     return EXIT_OK
 
@@ -345,12 +342,8 @@ class _Run:
         return reachability_table(self.network)
 
     @cached_property
-    def local(self) -> LocalRHVector:
-        return rh_local_all(self.network)
-
-    @cached_property
     def suite(self) -> list[MetricVector]:
-        return metric_suite(self.network, local_rh=self.local)
+        return metric_suite(self.network)
 
     @cached_property
     def delays(self) -> DelayVector:
@@ -358,10 +351,7 @@ class _Run:
 
     @cached_property
     def axis(self) -> MetricVector:
-        by = getattr(self.args, "by", "local_rh")  # analyze bins along local RH
-        if by == "local_rh":
-            return metric_vector(self.network, by, local_rh=self.local)
-        return metric_vector(self.network, by)
+        return metric_vector(self.network, getattr(self.args, "by", "local_rh"))  # analyze bins along local RH
 
     @cached_property
     def n_bins(self) -> int:
@@ -423,7 +413,7 @@ def _manifest(
 
 def _rh_rows(run: _Run) -> list[tuple[str, float]]:
     """(id, local RH) by descending value, ties by id."""
-    nodes, values = run.network.nodes, run.local.values
+    nodes, values = run.network.nodes, rh_local_all(run.network).values
     order = sorted(range(len(nodes)), key=lambda i: (-values[i], nodes[i].id))
     return [(nodes[i].id, float(values[i])) for i in order]
 
@@ -471,7 +461,7 @@ ARTIFACTS: dict[str, Callable[[_Run], str]] = {
     "tail_ancestors.csv": lambda run: _tail_csv(run, "ancestors"),
     "rh.json": lambda run: _json(
         {
-            "global": run.local.global_score.value,
+            "global": rh_local_all(run.network).global_score.value,
             "local": [{"id": node_id, "value": value} for node_id, value in _rh_rows(run)],
         }
     ),
@@ -540,10 +530,15 @@ def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str) -> tuple[str, str]:
-    """Write one artifact; return its manifest entry (name, sha256)."""
-    (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
-    return name, hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _save(out: str | Path, texts: dict[str, str]) -> Path:
+    """Create ``out`` and write each rendered text into it.
+
+    Every command but ``generate`` renders all its texts first, so a failing stage leaves no ``out``.
+    """
+    out_dir = _ensure_dir(out)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    return out_dir
 
 
 def _log_warning(message: Warning | str, *_: Any) -> None:

@@ -161,14 +161,19 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
     a row's non-negative sum, so a row keeps its bits unless it is, or
     reaches, a node of T = {k-1, k} + desc(k-1) + desc(k), or lies in the
     last product block (see the module docstring for the refresh rule).
+
+    The first call keeps the vector on the network, as ``closure`` keeps
+    the closure, and later calls return that same object.
     """
-    base = rh_global(network)
-    reduced = _ReducedReach(network)
-    values = np.empty(network.n, dtype=np.float64)
-    for node in range(network.n):
-        values[node] = base.value - reduced.value_without(node)
-    values.setflags(write=False)
-    return LocalRHVector(values, base)
+    if network._local is None:
+        base = rh_global(network)
+        reduced = _ReducedReach(network)
+        values = np.empty(network.n, dtype=np.float64)
+        for node in range(network.n):
+            values[node] = base.value - reduced.value_without(node)
+        values.setflags(write=False)
+        network._local = LocalRHVector(values, base)
+    return network._local
 
 
 _CHUNK = 1 << 16  # matrix entries per unpack step and per product block

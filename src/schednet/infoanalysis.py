@@ -21,7 +21,6 @@ import numpy as np
 
 from .binning import uniform_bin_indices
 from .errors import DegenerateMetricWarning, InsufficientData
-from .heterogeneity import LocalRHVector
 from .metrics import MetricVector, metric_suite
 from .network import ActivityNetwork
 from .performance import DelayVector
@@ -134,14 +133,14 @@ def benchmark_metrics(
     delays: DelayVector,
     *,
     suite: list[MetricVector] | None = None,
-    local_rh: LocalRHVector | None = None,
 ) -> BenchmarkReport:
     """Rank every suite metric by mutual information with a delay vector.
 
-    A precomputed ``suite`` (or ``local_rh``) avoids recomputing the
-    expensive vectors. All matrices share one bin count derived from the
-    number of delay-valid nodes. When every valid delay is equal, every MI
-    is zero and the ranks only sort metric names, so
+    ``suite`` defaults to :func:`~schednet.metrics.metric_suite`, whose
+    local RH is the vector the network keeps; a precomputed or narrower
+    suite is ranked as given. All matrices share one bin count derived from
+    the number of delay-valid nodes. When every valid delay is equal, every
+    MI is zero and the ranks only sort metric names, so
     :class:`DegenerateMetricWarning` is emitted.
     """
     distinct = np.unique(delays.valid_values())
@@ -152,7 +151,7 @@ def benchmark_metrics(
             stacklevel=2,
         )
     if suite is None:
-        suite = metric_suite(network, local_rh=local_rh)
+        suite = metric_suite(network)
     n_bins = default_bin_count(int(np.count_nonzero(delays.valid)))
     scores = [
         (vector.name, mutual_information(frequency_matrix(vector, delays, n_bins)))

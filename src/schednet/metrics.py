@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .heterogeneity import LocalRHVector, rh_local_all
+from .heterogeneity import rh_local_all
 from .network import ActivityNetwork
 from .reachability import ReachabilityTable, closure, reachability_table
 
@@ -217,16 +217,13 @@ def _levels(
 
 
 def metric_vector(
-    network: ActivityNetwork,
-    name: str,
-    *,
-    table: ReachabilityTable | None = None,
-    local_rh: LocalRHVector | None = None,
+    network: ActivityNetwork, name: str, *, table: ReachabilityTable | None = None
 ) -> MetricVector:
     """One metric of the suite by name, computing only what that metric needs.
 
-    ``table`` and ``local_rh`` are reused when given and computed otherwise,
-    and only for the metrics that read them.
+    ``table`` is reused when given and computed otherwise, and only for the
+    metrics that read it. Local RH is the vector the network keeps
+    (:func:`~schednet.heterogeneity.rh_local_all`).
     """
     if name == "betweenness":
         return betweenness(network)
@@ -237,7 +234,7 @@ def metric_vector(
     elif name == "out_degree":
         values = network.out_degrees()
     elif name == "local_rh":
-        values = (local_rh or rh_local_all(network)).values
+        values = rh_local_all(network).values
     elif name in ("descendants", "ancestors"):
         table = table or reachability_table(network)
         values = table.descendant_counts if name == "descendants" else table.ancestor_counts
@@ -246,15 +243,12 @@ def metric_vector(
     return MetricVector(name, np.array(values, dtype=np.float64))
 
 
-def metric_suite(
-    network: ActivityNetwork, *, local_rh: LocalRHVector | None = None
-) -> list[MetricVector]:
+def metric_suite(network: ActivityNetwork) -> list[MetricVector]:
     """All eight benchmark metrics, in :data:`METRIC_NAMES` order.
 
-    ``local_rh`` accepts a precomputed vector so callers that already ran
-    :func:`~schednet.heterogeneity.rh_local_all` don't pay for it twice.
+    Local RH is computed on the first call for a network and kept on it, so
+    a caller that already ran :func:`~schednet.heterogeneity.rh_local_all`
+    does not pay for it twice.
     """
     table = reachability_table(network)
-    if local_rh is None:
-        local_rh = rh_local_all(network)
-    return [metric_vector(network, name, table=table, local_rh=local_rh) for name in METRIC_NAMES]
+    return [metric_vector(network, name, table=table) for name in METRIC_NAMES]

@@ -66,13 +66,14 @@ class ActivityNetwork:
     that order, so identical inputs always produce identical indexing.
     Edges are deduplicated ``(source index, target index)`` pairs held in
     sorted order. Instances are read-only once constructed and safe to
-    share between threads. The topological order and the transitive closure
-    are built on first use and kept: a kept closure holds n²/8 bytes of
-    packed rows (182 KB at n=1208, 10.4 MB at n=9125). Two threads may both
-    build on first use; the results are identical, so the race is harmless.
+    share between threads. The topological order, the transitive closure
+    and the local-RH vector are built on first use and kept: a kept closure
+    holds n²/8 bytes of packed rows (182 KB at n=1208, 10.4 MB at n=9125)
+    and a kept local-RH vector 8n bytes more. Two threads may both build on
+    first use; the results are identical, so the race is harmless.
     """
 
-    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_closure")
+    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_closure", "_local")
 
     def __init__(self, nodes: Sequence[ActivityRecord], edges: Iterable[tuple[int, int]]) -> None:
         self.nodes: tuple[ActivityRecord, ...] = tuple(nodes)
@@ -93,7 +94,8 @@ class ActivityNetwork:
             pred[t].append(s)
         self._succ: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in succ)
         self._pred: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in pred)
-        self._order = self._closure = None  # kept by topological_order and reachability.closure
+        # kept by topological_order, reachability.closure and heterogeneity.rh_local_all
+        self._order = self._closure = self._local = None
 
     @property
     def n(self) -> int:

@@ -201,7 +201,7 @@ def test_c6_local_rh_tracks_start_delay_on_pinned_synthetic_under_60s():
     simulated = simulate_delays(network, TREND_PROPAGATION, TREND_NOISE, TREND_SIM_SEED)
     delays = start_delay(simulated)
     local = rh_local_all(simulated)
-    suite = metric_suite(simulated, local_rh=local)
+    suite = metric_suite(simulated)
 
     rho = scipy_stats.spearmanr(
         local.values[delays.valid], delays.days[delays.valid]
@@ -232,8 +232,7 @@ def test_c7_scale_batch_local_rh_and_metric_suite_under_10s(tmp_path):
     assert 1300 <= len(network.edges) <= 1700
 
     start = time.perf_counter()
-    local = rh_local_all(network)
-    suite = metric_suite(network, local_rh=local)
+    suite = metric_suite(network)
     elapsed = time.perf_counter() - start
     assert len(suite) == 8
     assert elapsed < 10.0, f"batch local RH + metric suite took {elapsed:.1f} s"

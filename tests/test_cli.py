@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import schednet.cli
+import schednet.heterogeneity
 import schednet.metrics
 import schednet.network
 import schednet.reachability
@@ -50,6 +51,12 @@ b,Pour,2021-01-06,2021-01-08,,
 c,Cure,2021-01-09,2021-01-12,,
 """
 
+ONE_ACTUAL = """id,name,planned_start,planned_end,actual_start,actual_end
+a,Dig,2021-01-01,2021-01-05,2021-01-02,2021-01-06
+b,Pour,2021-01-06,2021-01-08,,
+c,Cure,2021-01-09,2021-01-12,,
+"""
+
 
 @pytest.fixture
 def schedule_files(tmp_path):
@@ -57,6 +64,18 @@ def schedule_files(tmp_path):
     d = tmp_path / "dependencies.csv"
     a.write_text(ACTIVITIES, encoding="utf-8")
     d.write_text(DEPENDENCIES, encoding="utf-8")
+    return a, d
+
+
+def c7_files(tmp_path):
+    """The acceptance-c7 schedule (n=1208) with simulated actual dates."""
+    config = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
+    network = simulate_delays(
+        generate_dag(config), PropagationConfig(slack_days=0), NoiseSpec.two_point(0.15, 10), seed=3
+    )
+    a, d = tmp_path / "activities.csv", tmp_path / "dependencies.csv"
+    write_activities(a, network.nodes)
+    write_dependencies(d, [Dependency(network.nodes[s].id, network.nodes[t].id) for s, t in network.edges])
     return a, d
 
 
@@ -256,14 +275,7 @@ class TestAnalyze:
             assert path.read_bytes() == (out2 / path.name).read_bytes()
 
     def test_c7_sorts_once_and_builds_one_closure(self, tmp_path, monkeypatch):
-        config = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
-        network = simulate_delays(
-            generate_dag(config), PropagationConfig(slack_days=0), NoiseSpec.two_point(0.15, 10), seed=3
-        )
-        a, d = tmp_path / "activities.csv", tmp_path / "dependencies.csv"
-        write_activities(a, network.nodes)
-        write_dependencies(d, [Dependency(network.nodes[s].id, network.nodes[t].id) for s, t in network.edges])
-
+        a, d = c7_files(tmp_path)
         counts = {"sorts": 0, "closures": 0}
 
         def heapify(heap):  # once per topological sort
@@ -281,6 +293,31 @@ class TestAnalyze:
         monkeypatch.setattr(schednet.reachability, "ReachabilityTable", table)
         assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
         assert counts == {"sorts": 1, "closures": 1}
+
+    def test_c7_runs_one_local_rh_sweep(self, tmp_path, monkeypatch):
+        a, d = c7_files(tmp_path)
+        sweeps = []
+
+        class Counted(schednet.heterogeneity._ReducedReach):
+            def __init__(self, network):
+                sweeps.append(network)
+                super().__init__(network)
+
+        monkeypatch.setattr(schednet.heterogeneity, "_ReducedReach", Counted)
+        assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
+        assert len(sweeps) == 1
+
+    def test_one_dated_activity_exits_5_and_writes_nothing(self, tmp_path):
+        a, d = tmp_path / "a.csv", tmp_path / "d.csv"
+        a.write_text(ONE_ACTUAL, encoding="utf-8")
+        d.write_text(DEPENDENCIES, encoding="utf-8")
+        assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 5
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_input_exits_2_and_writes_nothing(self, schedule_files, tmp_path):
+        _, d = schedule_files
+        assert main(["analyze", str(tmp_path / "missing.csv"), str(d), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_actuals_skips_performance_outputs(self, tmp_path, capsys, caplog):
         a = tmp_path / "a.csv"

@@ -452,8 +452,8 @@ class TestRhLocalAll:
             assert vector.values[v] == expected, label
 
 
-@pytest.fixture(scope="module")
-def c7():
+@pytest.fixture
+def c7():  # a new network per test: the first rh_local_all keeps its vector on it
     net = NETWORKS["c7"]()
     reachability_table(net)  # kept on the network, outside any traced call
     return net

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schednet import (
+    ActivityNetwork,
     Dependency,
     FrequencyMatrix,
     GeneratorConfig,
@@ -266,23 +267,21 @@ class TestMetricSuite:
         suite = {vector.name: vector for vector in metric_suite(path3)}
         assert list(suite["local_rh"].values) == list(rh_local_all(path3).values)
 
-    def test_precomputed_local_rh_is_used_verbatim(self, path3):
-        local = rh_local_all(path3)
-        suite = {v.name: v for v in metric_suite(path3, local_rh=local)}
-        assert list(suite["local_rh"].values) == list(local.values)
+    def test_local_rh_vector_is_kept_on_the_network(self, path3):
+        assert rh_local_all(path3) is rh_local_all(path3)
 
     def test_repeated_runs_are_byte_identical(self):
         rng = np.random.default_rng(109)
         net = random_network(rng, n_min=10, n_max=12, ensure_edge=True)
         first = _metrics_csv(net, metric_suite(net))
-        second = _metrics_csv(net, metric_suite(net))
+        second = _metrics_csv(net, metric_suite(ActivityNetwork(net.nodes, net.edges)))  # nothing kept
         assert first == second
 
     def test_single_metric_equals_its_suite_entry(self):
         rng = np.random.default_rng(113)
         net = random_network(rng, n_min=10, n_max=12, ensure_edge=True)
         for vector in metric_suite(net):
-            alone = metric_vector(net, vector.name)
+            alone = metric_vector(ActivityNetwork(net.nodes, net.edges), vector.name)  # nothing kept
             assert alone.name == vector.name
             assert alone.values.tobytes() == vector.values.tobytes()
         with pytest.raises(ValueError, match="unknown metric"):
