@@ -38,7 +38,7 @@ from .heterogeneity import rh_local_all
 from .infoanalysis import BenchmarkReport, benchmark_metrics
 from .metrics import METRIC_NAMES, MetricVector, metric_suite, metric_vector
 from .network import ActivityNetwork, Dependency, prune_isolated, weakly_connected_components
-from .performance import BinnedStats, DelayVector, bin_by_metric, end_delay, start_delay, suggest_bin_count
+from .performance import BIN_STATS, BinnedStats, DelayVector, bin_by_metric, end_delay, start_delay, suggest_bin_count
 from .reachability import ReachabilityTable, reachability_table, tail_distribution, tail_distribution_csv
 from .schedule_io import load_network, network_to_json, write_activities, write_dependencies
 from .synthgen import (
@@ -273,12 +273,8 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    width_text = str(raw.get("layer_width", args.width))
-    width: int | tuple[int, ...]
-    if "," in width_text:
-        width = tuple(int(w) for w in width_text.split(","))
-    else:
-        width = int(width_text)
+    width = raw.get("layer_width", args.width)
+    widths = tuple(int(w) for w in (width if isinstance(width, list) else str(width).split(",")))
     duration_text = raw.get("base_duration_days", args.duration)
     if isinstance(duration_text, str):
         lo, hi = (int(part) for part in duration_text.split(","))
@@ -288,12 +284,11 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     config = GeneratorConfig(
         layer_count=int(raw.get("layer_count", args.layers)),
-        layer_width=width,
+        layer_width=widths[0] if len(widths) == 1 else widths,
         edge_probability=float(raw.get("edge_probability", args.edge_prob)),
         skip_depth=int(raw.get("skip_depth", args.skip_depth)),
         seed=seed,
         base_duration_days=(lo, hi),
-        endogenous_noise=noise,
     )
     propagation = PropagationConfig(
         slack_days=int(raw.get("slack_days", args.slack)),
@@ -423,9 +418,6 @@ def _metrics_csv(network: ActivityNetwork, suite: list[MetricVector]) -> str:
     return _csv("id," + ",".join(vector.name for vector in suite), rows)
 
 
-_BIN_STATS = ("mean", "median", "q25", "q75", "q16", "q84")
-
-
 def _bin_rows(run: _Run) -> list[dict[str, Any]]:
     """One dict per bin: its edges, its count and its delay statistics (NaN when empty)."""
     stats = run.binned
@@ -435,7 +427,7 @@ def _bin_rows(run: _Run) -> list[dict[str, Any]]:
             "lo": float(edges[b]),
             "hi": float(edges[b + 1]),
             "count": int(stats.count[b]),
-            **{name: float(getattr(stats, name)[b]) for name in _BIN_STATS},
+            **{name: float(getattr(stats, name)[b]) for name in BIN_STATS},
         }
         for b in range(stats.n_bins)
     ]
@@ -468,7 +460,7 @@ ARTIFACTS: dict[str, Callable[[_Run], str]] = {
     "rh.csv": lambda run: _csv("id,local_rh", _rh_rows(run)),
     "metrics.csv": lambda run: _metrics_csv(run.network, run.suite),
     "bins.csv": lambda run: _csv(
-        "bin_lo,bin_hi,count," + ",".join(_BIN_STATS), (row.values() for row in _bin_rows(run))
+        "bin_lo,bin_hi,count," + ",".join(BIN_STATS), (row.values() for row in _bin_rows(run))
     ),
     "bins.json": lambda run: _json(
         {
@@ -524,10 +516,17 @@ def _json(payload: dict[str, Any]) -> str:
 
 
 def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:
-    """CSV text: strings as they are, numbers through :func:`_fmt`."""
+    """CSV text: numbers through :func:`_fmt`, and strings quoted, quotes doubled, where they hold , " CR or LF."""
     lines = [header]
-    lines += [",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]
+    lines += [",".join(_quote(cell) if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _quote(text: str) -> str:
+    return text if _SPECIAL.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+_SPECIAL = frozenset(',"\r\n')  # characters that make a CSV cell need quotes
 
 
 def _save(out: str | Path, texts: dict[str, str]) -> Path:

@@ -124,13 +124,9 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     table = closure(network)
     if n <= 2 or table.pair_count == 0:
         return HeterogeneityScore(0.0, n, table.pair_count)
-    rows, d, a = table._rows, table.descendant_counts, table.ancestor_counts
-
-    def put(at: np.ndarray, out: np.ndarray) -> None:
-        out[:] = _bits(rows[at], n)
-
+    d, a = table.descendant_counts, table.ancestor_counts
     inverse, y = _inverse_roots(n), np.empty(n, dtype=np.float64)
-    _product(y, put, inverse[a], np.arange(_layout(n)[1]), _block(n))
+    _product(y, table._rows, n, inverse[a], np.arange(_layout(n)[1]), _block(n))
     return HeterogeneityScore(_rh(_dot(inverse[d], y), d, a), n, table.pair_count)
 
 
@@ -227,15 +223,8 @@ class _ReducedReach:
         self.work[cone] = reduced
         self.removed, self.patched = k, cone
         rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
-        _product(self.y, self._put, self.inverse[a], rows, self.block)
+        _product(self.y, self.work, k, self.inverse[a], rows, self.block)
         return _rh(_dot(self.inverse[d], self.y), d, a)
-
-    def _put(self, at: np.ndarray, out: np.ndarray) -> None:
-        """Write reduced rows ``at`` into ``out`` as 0/1 floats: their ``work`` rows without bit k."""
-        k = self.removed
-        reach = _bits(self.work[at + (at >= k)], self.n)
-        out[:, :k] = reach[:, :k]
-        out[:, k:] = reach[:, k + 1:]
 
     def _dirty(self, k: int) -> np.ndarray:
         """Reduced rows below the cut whose product can differ from node k-1's.
@@ -314,12 +303,13 @@ def _block(n: int) -> np.ndarray:
     return np.empty((min(_layout(n)[0] + 1, n), n), dtype=np.float64)
 
 
-def _product(y: np.ndarray, put, w: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
+def _product(y: np.ndarray, packed: np.ndarray, k: int, w: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
     """Set ``y`` to ``R @ w`` at ``rows`` and at every row of the last block, in small row blocks.
 
-    ``put(at, out)`` writes the 0/1 rows ``at`` of R into ``out`` as floats,
-    and ``block`` is scratch from ``_block``. ``rows`` are sorted rows below
-    the cut of ``_layout``; ``rh_global`` passes all of them. Every row
+    R is the square 0/1 matrix of the rows ``packed`` without row and
+    column ``k``: the closure without node k, or all of it when ``k`` is
+    its node count. ``block`` is scratch from ``_block``. ``rows`` are sorted
+    rows below the cut of ``_layout``; ``rh_global`` passes all of them. Every row
     gets the bits of the whole-matrix product under one BLAS thread, at
     one and at two threads. OpenBLAS dgemv works on groups of rows and
     gives the ``n % 4`` tail rows to another kernel, splits a large call
@@ -339,12 +329,19 @@ def _product(y: np.ndarray, put, w: np.ndarray, rows: np.ndarray, block: np.ndar
     for start in range(0, len(rows), step):
         at = rows[start:start + step]
         padded = block[:-(-len(at) // _GROUP) * _GROUP]
-        put(at, padded[:len(at)])
+        _put(packed, k, at, padded[:len(at)])
         padded[len(at):] = 0.0
         y[at] = (padded @ w)[:len(at)]
     last = block[:n - cut]
-    put(np.arange(cut, n), last)
+    _put(packed, k, np.arange(cut, n), last)
     y[cut:] = last @ w
+
+
+def _put(packed: np.ndarray, k: int, at: np.ndarray, out: np.ndarray) -> None:
+    """Write rows ``at`` of ``_product``'s R as 0/1 floats: packed row r, or r + 1 from k on, without bit k."""
+    reach = _bits(packed[at + (at >= k)], len(packed))
+    out[:, :k] = reach[:, :k]
+    out[:, k:] = reach[:, k + 1:]
 
 
 def _dot(u: np.ndarray, y: np.ndarray) -> float:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import uniform_bin_indices
 from .errors import DegenerateMetricWarning, InsufficientData
 from .metrics import MetricVector, metric_suite
 from .network import ActivityNetwork
-from .performance import DelayVector
+from .performance import DelayVector, uniform_bin_indices
 
 
 @dataclass(frozen=True, eq=False)

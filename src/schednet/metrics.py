@@ -108,22 +108,23 @@ def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricV
     network (distance *to* i), which the metric suite reports as
     ``reverse_closeness``.
 
-    Batches of consecutive sources are searched together level by level
-    (:func:`_levels`). Each level adds one ``np.bincount`` of its new
-    (source, node) pairs per source to r, and depth times that to the
-    distance sum, so both stay exact integers.
+    r is the descendant count, or with ``reversed_edges`` the ancestor
+    count, of the kept closure. Batches of consecutive sources are searched
+    together level by level (:func:`_levels`), and each level adds depth
+    times one ``np.bincount`` of its new (source, node) pairs per source to
+    the distance sum, so it stays an exact integer.
     """
     n = network.n
+    table = closure(network)
+    reach = table.ancestor_counts if reversed_edges else table.descendant_counts
     adjacency = _adjacency(network, reversed_edges)
     bounds, stamp = _batches(n)
     values = np.zeros(n, dtype=np.float64)
     for start, stop in bounds:
-        reached = np.zeros(stop - start, dtype=np.int64)
         total = np.zeros(stop - start, dtype=np.int64)
         for depth, (keys, _, _) in enumerate(_levels(adjacency, n, np.arange(start, stop), stamp), 1):
-            count = np.bincount(keys // n, minlength=stop - start)
-            reached += count
-            total += depth * count
+            total += depth * np.bincount(keys // n, minlength=stop - start)
+        reached = reach[start:stop]
         hit = np.flatnonzero(reached)
         values[start + hit] = (reached[hit] / (n - 1)) * (reached[hit] / total[hit])
     name = "reverse_closeness" if reversed_edges else "closeness"

@@ -242,11 +242,7 @@ def prune_isolated(network: ActivityNetwork) -> ActivityNetwork:
     Raises:
         EmptyNetwork: no node has a dependency at all.
     """
-    degree = [0] * network.n
-    for s, t in network.edges:
-        degree[s] += 1
-        degree[t] += 1
-    keep = [i for i in range(network.n) if degree[i] > 0]
+    keep = [i for i in range(network.n) if network._succ[i] or network._pred[i]]
     if not keep:
         raise EmptyNetwork()
     if len(keep) == network.n:

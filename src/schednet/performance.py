@@ -9,17 +9,18 @@ relevant actual date are masked out rather than treated as on time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import freedman_diaconis_bins, uniform_bin_indices
 from .errors import DegenerateMetricWarning, NoValidDelays
 from .metrics import MetricVector
 from .network import ActivityNetwork
 
-QUANTILE_LEVELS = (16, 25, 50, 75, 84)
+# Each per-bin delay statistic by name: its percentile, or None for the mean.
+BIN_STATS = {"mean": None, "median": 50, "q25": 25, "q75": 75, "q16": 16, "q84": 84}
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,30 +109,15 @@ def bin_by_metric(metric: MetricVector, delays: DelayVector, n_bins: int) -> Bin
         n_bins = 1
     indices, edges = uniform_bin_indices(x, n_bins)
 
-    count = np.zeros(n_bins, dtype=np.int64)
-    stats = {name: np.full(n_bins, np.nan) for name in ("mean", "q16", "q25", "median", "q75", "q84")}
-    for b in range(n_bins):
+    count = np.bincount(indices, minlength=n_bins)
+    stats = {name: np.full(n_bins, np.nan) for name in BIN_STATS}
+    quantiles = {name: level for name, level in BIN_STATS.items() if level is not None}
+    for b in np.flatnonzero(count):
         members = y[indices == b]
-        count[b] = len(members)
-        if len(members) == 0:
-            continue
         stats["mean"][b] = members.mean()
-        q16, q25, q50, q75, q84 = np.percentile(members, QUANTILE_LEVELS)
-        stats["q16"][b] = q16
-        stats["q25"][b] = q25
-        stats["median"][b] = q50
-        stats["q75"][b] = q75
-        stats["q84"][b] = q84
-    return BinnedStats(
-        bin_edges=edges,
-        count=count,
-        mean=stats["mean"],
-        median=stats["median"],
-        q25=stats["q25"],
-        q75=stats["q75"],
-        q16=stats["q16"],
-        q84=stats["q84"],
-    )
+        for name, value in zip(quantiles, np.percentile(members, list(quantiles.values()))):
+            stats[name][b] = value
+    return BinnedStats(bin_edges=edges, count=count, **stats)
 
 
 def suggest_bin_count(metric: MetricVector, delays: DelayVector) -> int:
@@ -157,3 +143,43 @@ def _delay(network: ActivityNetwork, which: str) -> DelayVector:
     days.setflags(write=False)
     valid.setflags(write=False)
     return DelayVector(days, valid, kind=which)
+
+
+def uniform_bin_indices(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Assign values to ``n_bins`` equal-width bins over [min, max].
+
+    The maximum value lands in the last bin; a zero-width range puts
+    everything in bin 0. Returns ``(indices, edges)`` with ``len(edges)
+    == n_bins + 1``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lo = values.min()
+    hi = values.max()
+    edges = np.linspace(lo, hi, n_bins + 1)
+    if hi > lo:
+        indices = np.floor((values - lo) / (hi - lo) * n_bins).astype(np.int64)
+        np.clip(indices, 0, n_bins - 1, out=indices)
+    else:
+        indices = np.zeros(values.shape, dtype=np.int64)
+    return indices, edges
+
+
+def freedman_diaconis_bins(values: np.ndarray) -> int:
+    """Freedman-Diaconis bin count, clamped to [4, 30].
+
+    Falls back to the square-root rule when the interquartile range is
+    zero; returns 1 for constant data (the degenerate single-bin case).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    span = float(values.max() - values.min())
+    if span <= 0.0:
+        return 1
+    n = len(values)
+    q75, q25 = np.percentile(values, [75, 25])
+    iqr = float(q75 - q25)
+    if iqr > 0.0:
+        width = 2.0 * iqr / n ** (1.0 / 3.0)
+        raw = math.ceil(span / width)
+    else:
+        raw = math.ceil(math.sqrt(n))
+    return max(4, min(30, raw))

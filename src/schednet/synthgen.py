@@ -103,7 +103,6 @@ class GeneratorConfig:
     skip_depth: int = 1
     seed: int = 0
     base_duration_days: tuple[int, int] = (1, 10)
-    endogenous_noise: NoiseSpec = NoiseSpec.none()
 
     def __post_init__(self) -> None:
         if self.layer_count < 1:
@@ -160,25 +159,21 @@ def generate_dag(config: GeneratorConfig) -> ActivityNetwork:
     total = int(offsets[-1])
     ids = [f"A{i:05d}" for i in range(total)]
 
-    deps: list[Dependency] = []
+    pairs: list[tuple[int, int]] = []
     for layer in range(config.layer_count - 1):
         max_gap = min(config.skip_depth, config.layer_count - 1 - layer)
         for gap in range(1, max_gap + 1):
-            source_ids = range(offsets[layer], offsets[layer + 1])
-            target_ids = range(offsets[layer + gap], offsets[layer + gap + 1])
             hits = rng.random((widths[layer], widths[layer + gap])) < config.edge_probability
-            for si, s in enumerate(source_ids):
-                for ti, t in enumerate(target_ids):
-                    if hits[si, ti]:
-                        deps.append(Dependency(ids[s], ids[t]))
+            sources, targets = np.nonzero(hits)
+            pairs += zip((sources + offsets[layer]).tolist(), (targets + offsets[layer + gap]).tolist())
 
     lo, hi = config.base_duration_days
     durations = rng.integers(lo, hi + 1, size=total)
     starts = np.zeros(total, dtype=np.int64)
     ends = np.zeros(total, dtype=np.int64)
     preds: list[list[int]] = [[] for _ in range(total)]
-    for dep in deps:
-        preds[int(dep.successor[1:])].append(int(dep.predecessor[1:]))
+    for s, t in pairs:
+        preds[t].append(s)
     for i in range(total):  # index order is layer-major, hence topological
         if preds[i]:
             starts[i] = max(ends[j] for j in preds[i])
@@ -193,7 +188,7 @@ def generate_dag(config: GeneratorConfig) -> ActivityNetwork:
         )
         for i in range(total)
     ]
-    network = build_network(records, deps)
+    network = build_network(records, [Dependency(ids[s], ids[t]) for s, t in pairs])
     try:
         return prune_isolated(network)
     except EmptyNetwork as exc:

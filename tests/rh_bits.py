@@ -98,11 +98,7 @@ def streamed(rows, w):
     """Digest of ``R @ w`` by the library's blocked product of every row, from packed rows R."""
     n = len(w)
     y = np.empty(n)
-
-    def put(at, out):
-        out[:] = np.unpackbits(rows[at], axis=1, count=n, bitorder="little")
-
-    _product(y, put, w, np.arange(_layout(n)[1]), _block(n))
+    _product(y, rows, n, w, np.arange(_layout(n)[1]), _block(n))
     return _digest(y)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import heapq
+import io
 import json
 import math
 import os
@@ -365,6 +366,44 @@ class TestRh:
         assert len(rows) == 4
 
 
+QUOTED_IDS = """id,name,planned_start,planned_end,actual_start,actual_end
+"a,1",Dig,2021-01-01,2021-01-05,2021-01-02,2021-01-06
+b,Pour,2021-01-06,2021-01-08,2021-01-07,2021-01-09
+"c""x",Cure,2021-01-09,2021-01-12,2021-01-08,2021-01-12
+"""
+
+QUOTED_DEPENDENCIES = """predecessor,successor
+"a,1",b
+b,"c""x"
+"""
+
+
+def test_ids_that_need_quoting_read_back_from_rh_and_metrics_csv(tmp_path, capsys):
+    a, d = tmp_path / "activities.csv", tmp_path / "dependencies.csv"
+    a.write_text(QUOTED_IDS, encoding="utf-8")
+    d.write_text(QUOTED_DEPENDENCIES, encoding="utf-8")
+    assert main(["rh", str(a), str(d), "--out", str(tmp_path / "rh")]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(a), str(d)]) == 0
+    texts = {2: (tmp_path / "rh" / "rh.csv").read_text(), 9: capsys.readouterr().out}
+    for fields, text in texts.items():
+        rows = list(csv.reader(text.splitlines(keepends=True)))
+        assert [len(row) for row in rows] == [fields] * 4
+        assert sorted(row[0] for row in rows[1:]) == ["a,1", "b", 'c"x']
+    assert "\nb," in texts[9]  # an id that needs no quotes keeps its bytes
+
+
+@pytest.mark.parametrize(
+    "text, cell",
+    [(text, text) for text in ("plain", " spaced ", "semi;colon", "tab\there", "it's", "")]
+    + [("a,1", '"a,1"'), ('c"x', '"c""x"'), ("cr\rhere", '"cr\rhere"'), ("lf\nhere", '"lf\nhere"')],
+)
+def test_csv_quotes_a_string_only_where_it_holds_a_comma_quote_or_line_break(text, cell):
+    written = schednet.cli._csv("id,x", [(text, 1.5)])
+    assert written == f"id,x\n{cell},1.5\n"
+    assert list(csv.reader(io.StringIO(written, newline=""))) == [["id", "x"], [text, "1.5"]]
+
+
 class TestMetricsCommand:
     def test_csv_round_trips_exactly(self, tmp_path, capsys):
         a, d = synth_files(tmp_path)
@@ -521,6 +560,14 @@ class TestGenerate:
         assert net.n > 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 12
+
+    def test_config_layer_width_list_matches_the_width_flag(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"layer_count": 3, "layer_width": [2, 3, 2]}), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "config")]) == 0
+        assert main(["generate", "--layers", "3", "--width", "2,3,2", "--out", str(tmp_path / "flags")]) == 0
+        for name in ("activities.csv", "dependencies.csv"):
+            assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
     def test_degenerate_config_exits_5(self, tmp_path):
         out = tmp_path / "gen"

@@ -509,10 +509,10 @@ class TestPartialRefresh:
         cut = heterogeneity._layout(c7.n - 1)[1]
         real, refreshed = heterogeneity._product, []
 
-        def counting(y, put, w, rows, block):
+        def counting(y, packed, k, w, rows, block):
             if len(y) == c7.n - 1:  # the sweep's products, not rh_global's
                 refreshed.append(len(rows) + len(y) - cut)  # the last block is taken whole
-            real(y, put, w, rows, block)
+            real(y, packed, k, w, rows, block)
 
         monkeypatch.setattr(heterogeneity, "_product", counting)
         rh_local_all(c7)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from schednet import (
     DegenerateConfig,
+    Dependency,
     GeneratorConfig,
     NoiseSpec,
     PropagationConfig,
@@ -16,6 +19,8 @@ from schednet import (
     simulate_delays,
     start_delay,
     topological_order,
+    write_activities,
+    write_dependencies,
 )
 from schednet.network import ActivityNetwork
 
@@ -105,6 +110,38 @@ class TestGenerateDag:
             GeneratorConfig(
                 layer_count=3, layer_width=3, edge_probability=0.5, base_duration_days=(0, 4)
             )
+
+
+# sha256 of (activities.csv, dependencies.csv) as written for each shape, recorded
+# before the generator built its predecessor lists from the drawn index pairs
+PINNED_SHAPES = {
+    "per-layer widths": (
+        dict(layer_count=5, layer_width=(3, 6, 2, 5, 4), edge_probability=0.4, skip_depth=2, seed=21),
+        "3482b419852ca81e0e7e548a9eef94387990026084ea523767a5e96e39e51a3f",
+        "80944b8fc25c188dcf2ec87f3309771df766520bfed99db53078ae92b5ec5c1b",
+    ),
+    "skip past the last layer": (
+        dict(layer_count=4, layer_width=5, edge_probability=0.3, skip_depth=9, seed=5),
+        "147eaddc23b41d8744dddbec591a6241758936e3b7724b8f835387704c4b29cf",
+        "344143e1b6ca0fb1d71c05c6acd3d02085be763702b1b632ebd299537d2c28cb",
+    ),
+    "every edge": (
+        dict(layer_count=4, layer_width=(2, 3, 1, 2), edge_probability=1.0, skip_depth=2, seed=3),
+        "0eb83dd61b960a366df33bd3285436814add3736ef48f7462647ff3727b4cc24",
+        "a0b2f754b34cf273e5671014cc35abe57c3e5693141d83ab925f8896afc8ae73",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", PINNED_SHAPES)
+def test_generated_csvs_keep_their_pinned_bytes(shape, tmp_path):
+    config, activities, dependencies = PINNED_SHAPES[shape]
+    net = generate_dag(GeneratorConfig(**config))
+    ids = net.node_ids
+    write_activities(tmp_path / "a.csv", net.nodes)
+    write_dependencies(tmp_path / "d.csv", [Dependency(ids[s], ids[t]) for s, t in net.edges])
+    assert hashlib.sha256((tmp_path / "a.csv").read_bytes()).hexdigest() == activities
+    assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == dependencies
 
 
 class TestSimulateDelays:
