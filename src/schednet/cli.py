@@ -40,7 +40,7 @@ from .metrics import METRIC_NAMES, MetricVector, metric_suite, metric_vector
 from .network import ActivityNetwork, Dependency, prune_isolated, weakly_connected_components
 from .performance import BIN_STATS, BinnedStats, DelayVector, bin_by_metric, end_delay, start_delay, suggest_bin_count
 from .reachability import ReachabilityTable, reachability_table, tail_distribution, tail_distribution_csv
-from .schedule_io import load_network, network_to_json, write_activities, write_dependencies
+from .schedule_io import csv_cell, load_network, network_to_json, write_activities, write_dependencies
 from .synthgen import (
     GeneratorConfig,
     NoiseSpec,
@@ -246,7 +246,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "skip_depth": config.skip_depth,
             "seed": config.seed,
             "base_duration_days": list(config.base_duration_days),
-            "noise": noise.kind,
+            "noise": str(noise),
             "slack_days": propagation.slack_days,
             "clamp_negative": propagation.clamp_negative,
         },
@@ -290,10 +290,10 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
         seed=seed,
         base_duration_days=(lo, hi),
     )
-    propagation = PropagationConfig(
-        slack_days=int(raw.get("slack_days", args.slack)),
-        clamp_negative=bool(raw.get("clamp_negative", not args.no_clamp)),
-    )
+    clamp = raw.get("clamp_negative", not args.no_clamp)
+    if not isinstance(clamp, bool):
+        raise ValueError(f"{args.config}: clamp_negative must be true or false, got {clamp!r}")
+    propagation = PropagationConfig(slack_days=int(raw.get("slack_days", args.slack)), clamp_negative=clamp)
     return config, propagation, noise
 
 
@@ -518,15 +518,8 @@ def _json(payload: dict[str, Any]) -> str:
 def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:
     """CSV text: numbers through :func:`_fmt`, and strings quoted, quotes doubled, where they hold , " CR or LF."""
     lines = [header]
-    lines += [",".join(_quote(cell) if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]
+    lines += [",".join(csv_cell(cell) if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _quote(text: str) -> str:
-    return text if _SPECIAL.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
-
-
-_SPECIAL = frozenset(',"\r\n')  # characters that make a CSV cell need quotes
 
 
 def _save(out: str | Path, texts: dict[str, str]) -> Path:

@@ -4,7 +4,8 @@ The suite covers eight per-node measures: in/out degree, directed
 shortest-path betweenness (unnormalized, endpoints excluded), closeness
 and reverse closeness in the Wasserman-Faust form for disconnected
 graphs, descendant and ancestor counts, and local RH. All shortest paths
-use unit edge weights.
+use unit edge weights. One batched Brandes search per network gives all
+three shortest-path metrics, and the network keeps them (:func:`_paths`).
 """
 
 from __future__ import annotations
@@ -55,11 +56,8 @@ def degree_metrics(network: ActivityNetwork) -> tuple[MetricVector, MetricVector
 def betweenness(network: ActivityNetwork) -> MetricVector:
     """Directed shortest-path betweenness, unnormalized, endpoints excluded.
 
-    Brandes' algorithm over batches of consecutive sources, each batch
-    searched together level by level (:func:`_levels`): the shortest-path
-    counts ``sigma`` go forward over the levels, then the dependencies
-    ``delta`` go back over them. The floating-point result is fixed by the
-    summation order, which is part of the contract:
+    Brandes' algorithm, from the network's kept search (:func:`_paths`).
+    Its floats are fixed by the summation order, part of the contract:
 
     - ``sigma[w]`` is one ``np.bincount`` over the edges (v, w) into w's
       level, in queue-then-adjacency order of v;
@@ -69,34 +67,9 @@ def betweenness(network: ActivityNetwork) -> MetricVector:
       in ascending source order, within a batch and across batches.
 
     These are the bits of one search per source with the sources in
-    ascending order, whatever the batch limits (:func:`_limits`). The
-    reach counts of the kept closure size the batches.
+    ascending order, whatever the batch limits (:func:`_limits`).
     """
-    n = network.n
-    adjacency = _adjacency(network, reversed_edges=False)
-    bounds, stamp = _batches(n, closure(network).descendant_counts)
-    score = np.zeros(n, dtype=np.float64)
-    for start, stop in bounds:
-        levels = list(_levels(adjacency, n, np.arange(start, stop), stamp))
-        sigma = [np.ones(stop - start)]
-        for keys, parent, child in levels:
-            sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
-        reached, dependency = [], []
-        delta = np.zeros(len(sigma[-1]))
-        while levels:  # deepest first, dropping each level once it is used
-            keys, parent, child = levels.pop()
-            reached.append(keys)
-            dependency.append(delta)
-            coeff = (1.0 + delta) / sigma.pop()
-            order = np.argsort(-child, kind="stable")
-            parent = parent[order]
-            up = sigma[-1]
-            delta = np.bincount(parent, weights=up[parent] * coeff[child[order]], minlength=len(up))
-        if reached:
-            keys = np.concatenate(reached)
-            order = np.argsort(keys // n, kind="stable")
-            np.add.at(score, keys[order] % n, np.concatenate(dependency)[order])
-    return MetricVector("betweenness", score)
+    return _paths(network)[0]
 
 
 def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricVector:
@@ -106,29 +79,73 @@ def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricV
     nodes reachable from i; zero when nothing is reachable. With
     ``reversed_edges`` the same value is computed on the edge-reversed
     network (distance *to* i), which the metric suite reports as
-    ``reverse_closeness``.
-
-    r is the descendant count, or with ``reversed_edges`` the ancestor
-    count, of the kept closure. Batches of consecutive sources are searched
-    together level by level (:func:`_levels`), and each level adds depth
-    times one ``np.bincount`` of its new (source, node) pairs per source to
-    the distance sum, so it stays an exact integer.
+    ``reverse_closeness``. r and the exact distance sums come from the
+    kept closure and search (:func:`_paths`): a lone call runs the search.
     """
-    n = network.n
-    table = closure(network)
-    reach = table.ancestor_counts if reversed_edges else table.descendant_counts
-    adjacency = _adjacency(network, reversed_edges)
-    bounds, stamp = _batches(n)
-    values = np.zeros(n, dtype=np.float64)
-    for start, stop in bounds:
-        total = np.zeros(stop - start, dtype=np.int64)
-        for depth, (keys, _, _) in enumerate(_levels(adjacency, n, np.arange(start, stop), stamp), 1):
-            total += depth * np.bincount(keys // n, minlength=stop - start)
-        reached = reach[start:stop]
-        hit = np.flatnonzero(reached)
-        values[start + hit] = (reached[hit] / (n - 1)) * (reached[hit] / total[hit])
-    name = "reverse_closeness" if reversed_edges else "closeness"
-    return MetricVector(name, values)
+    return _paths(network)[2 if reversed_edges else 1]
+
+
+def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, MetricVector]:
+    """Betweenness, closeness and reverse closeness from one search, kept on the network.
+
+    Batches of consecutive sources, sized by the closure's descendant
+    counts, are searched in turn (:func:`_search`) over CSR arrays of the
+    sorted edges, so each node's successors come in ascending order.
+    """
+    if network._paths is None:
+        n = network.n
+        table = closure(network)
+        degree = np.bincount([s for s, _ in network.edges], minlength=n)
+        adjacency = (np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64))
+        bounds, stamp = _batches(n, table.descendant_counts)
+        score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for start, stop in bounds:
+            away[start:stop] = _search(adjacency, np.arange(start, stop), stamp, score, into)
+        vectors = [MetricVector("betweenness", score)]
+        names = ("closeness", "reverse_closeness")
+        for name, r, total in zip(names, (table.descendant_counts, table.ancestor_counts), (away, into)):
+            hit = np.flatnonzero(r)
+            values = np.zeros(n)
+            values[hit] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
+            vectors.append(MetricVector(name, values))
+        network._paths = tuple(vectors)
+    return network._paths
+
+
+def _search(adjacency, sources: np.ndarray, stamp: np.ndarray, score: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """Brandes' search from one batch of sources; returns their int64 distance sums.
+
+    ``sigma`` goes forward over the levels (:func:`_levels`) and ``delta``
+    back into ``score``; each reached pair's depth also goes to its node's
+    entry of ``into``. The batch's arrays die before the next batch's levels.
+    """
+    n, width = len(score), len(sources)
+    levels = list(_levels(adjacency, n, sources, stamp))
+    sigma = [np.ones(width)]
+    for keys, parent, child in levels:
+        sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
+    reached, dependency = [], []
+    delta = np.zeros(len(sigma[-1]))
+    while levels:  # deepest first, dropping each level once it is used
+        keys, parent, child = levels.pop()
+        reached.append(keys)
+        dependency.append(delta)
+        coeff = (1.0 + delta) / sigma.pop()
+        order = np.argsort(-child, kind="stable")
+        parent = parent[order]
+        up = sigma[-1]
+        delta = np.bincount(parent, weights=up[parent] * coeff[child[order]], minlength=len(up))
+    if not reached:
+        return np.zeros(width, dtype=np.int64)
+    depth = np.repeat(np.arange(len(reached), 0, -1, dtype=np.int32), [len(k) for k in reached])
+    reached, dependency = np.concatenate(reached), np.concatenate(dependency)  # frees the level lists
+    source = reached // n
+    order = np.argsort(source, kind="stable")
+    total = np.bincount(source, weights=depth, minlength=width)  # float sums, exact below 2**53
+    reached %= n  # the reached nodes
+    into += np.bincount(reached, weights=depth, minlength=n).astype(np.int64)
+    np.add.at(score, reached[order], dependency[order])
+    return total.astype(np.int64)
 
 
 def _limits(n: int) -> tuple[int, int]:
@@ -142,38 +159,21 @@ def _limits(n: int) -> tuple[int, int]:
     return max(1, min(n, stamps // max(n, 1))), stamps // 32
 
 
-def _batches(n: int, reach: np.ndarray | None = None) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _batches(n: int, reach: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Runs ``(start, stop)`` of consecutive sources, and the stamps they share.
 
-    With ``reach``, each source's count of reached nodes, a run also keeps
-    to the pair limit, but a run always holds at least one source.
+    ``reach`` holds each source's count of reached nodes. A run keeps to
+    both limits, but it always holds at least one source.
     """
     size, pairs = _limits(n)
-    cumulative = None if reach is None else np.concatenate(([0], np.cumsum(reach)))
-    bounds = []
-    start = 0
+    cumulative = np.concatenate(([0], np.cumsum(reach)))
+    bounds, start = [], 0
     while start < n:
-        stop = min(start + size, n)
-        if cumulative is not None:
-            stop = min(stop, int(np.searchsorted(cumulative, cumulative[start] + pairs, side="right")) - 1)
-        stop = max(stop, start + 1)
+        limit = int(np.searchsorted(cumulative, cumulative[start] + pairs, side="right")) - 1
+        stop = max(min(start + size, n, limit), start + 1)
         bounds.append((start, stop))
         start = stop
-    widest = max((stop - start for start, stop in bounds), default=0)
-    return bounds, np.full(widest * n, -1, dtype=np.int32)
-
-
-def _adjacency(network: ActivityNetwork, reversed_edges: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays ``(start, degree, neighbours)`` of the successors, or of the predecessors.
-
-    ``network.edges`` is sorted, so each node's neighbours come in ascending
-    order, as in the network's adjacency lists.
-    """
-    edges = np.array(network.edges, dtype=np.int64).reshape(-1, 2)
-    if reversed_edges:
-        edges = edges[np.argsort(edges[:, 1], kind="stable"), ::-1]
-    degree = np.bincount(edges[:, 0], minlength=network.n)
-    return np.cumsum(degree) - degree, degree, edges[:, 1].copy()
+    return bounds, np.full(max((stop - start for start, stop in bounds), default=0) * n, -1, dtype=np.int32)
 
 
 def _levels(

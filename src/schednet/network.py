@@ -66,14 +66,15 @@ class ActivityNetwork:
     that order, so identical inputs always produce identical indexing.
     Edges are deduplicated ``(source index, target index)`` pairs held in
     sorted order. Instances are read-only once constructed and safe to
-    share between threads. The topological order, the transitive closure
-    and the local-RH vector are built on first use and kept: a kept closure
-    holds n²/8 bytes of packed rows (182 KB at n=1208, 10.4 MB at n=9125)
-    and a kept local-RH vector 8n bytes more. Two threads may both build on
-    first use; the results are identical, so the race is harmless.
+    share between threads. The topological order, the transitive closure,
+    the local-RH vector and the three shortest-path metric vectors are
+    built on first use and kept: a kept closure holds n²/8 bytes of packed
+    rows (182 KB at n=1208, 10.4 MB at n=9125), the local-RH vector 8n
+    bytes more and the shortest-path vectors 24n. Two threads may both
+    build on first use; the results are identical, so the race is harmless.
     """
 
-    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_closure", "_local")
+    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_closure", "_local", "_paths")
 
     def __init__(self, nodes: Sequence[ActivityRecord], edges: Iterable[tuple[int, int]]) -> None:
         self.nodes: tuple[ActivityRecord, ...] = tuple(nodes)
@@ -94,8 +95,8 @@ class ActivityNetwork:
             pred[t].append(s)
         self._succ: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in succ)
         self._pred: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in pred)
-        # kept by topological_order, reachability.closure and heterogeneity.rh_local_all
-        self._order = self._closure = self._local = None
+        # kept by topological_order, reachability.closure, heterogeneity.rh_local_all and metrics._paths
+        self._order = self._closure = self._local = self._paths = None
 
     @property
     def n(self) -> int:

@@ -210,8 +210,22 @@ def _expect_header(reader: Any, expected: Sequence[str], path: Path) -> None:
         )
 
 
+_QUOTED = frozenset(',"\r\n')  # a CSV cell holding any of these characters is quoted
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, its quotes doubled, where it holds , " CR or LF."""
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
 def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write rows of strings as CSV text, each cell by :func:`csv_cell`.
+
+    Four substring searches over all cells' text find whether any cell
+    needs quotes, so a file that needs none takes no Python step per cell.
+    """
+    cells = "".join(map("".join, rows))
+    if any(mark in cells for mark in _QUOTED):
+        rows = [[csv_cell(cell) for cell in row] for row in rows]
+    text = "\n".join(map(",".join, [header, *rows])) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="")

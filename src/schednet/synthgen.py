@@ -79,6 +79,14 @@ class NoiseSpec:
             return cls.two_point(float(parts[0]), int(parts[1]))
         raise ValueError(f"cannot parse noise spec {text!r}")
 
+    def __str__(self) -> str:
+        """The spec in the form :meth:`parse` reads."""
+        if self.kind == "uniform":
+            return f"uniform:{self.low},{self.high}"
+        if self.kind == "two_point":
+            return f"two_point:{self.probability!r},{self.days}"
+        return "none"
+
     def draw(self, rng: np.random.Generator | None) -> int:
         if self.kind == "none" or rng is None:
             return 0

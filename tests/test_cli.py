@@ -308,6 +308,19 @@ class TestAnalyze:
         assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
         assert len(sweeps) == 1
 
+    def test_c7_runs_one_shortest_path_search(self, tmp_path, monkeypatch):
+        a, d = c7_files(tmp_path)
+        searches = []
+        batches = schednet.metrics._batches
+
+        def counted(n, reach):
+            searches.append(n)
+            return batches(n, reach)
+
+        monkeypatch.setattr(schednet.metrics, "_batches", counted)  # sizes the batches once per search
+        assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
+        assert len(searches) == 1
+
     def test_one_dated_activity_exits_5_and_writes_nothing(self, tmp_path):
         a, d = tmp_path / "a.csv", tmp_path / "d.csv"
         a.write_text(ONE_ACTUAL, encoding="utf-8")
@@ -589,3 +602,21 @@ class TestGenerate:
         cfg_path.write_text(text, encoding="utf-8")
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value, code", [(False, 0), (True, 0), ("false", 2), (0, 2), (None, 2)])
+    def test_config_clamp_negative_takes_only_a_json_boolean(self, tmp_path, capsys, value, code):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"layer_count": 4, "clamp_negative": value}), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == code
+        if code:
+            assert "clamp_negative must be true or false" in capsys.readouterr().err
+        else:
+            manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
+            assert manifest["parameters"]["clamp_negative"] is value
+
+    @pytest.mark.parametrize("spec", ["none", "uniform:-2,3", "two_point:0.2,8", "two_point:0.15,10"])
+    def test_manifest_records_the_noise_spec_that_ran(self, tmp_path, spec):
+        out = tmp_path / "gen"
+        assert main(["generate", "--layers", "4", "--noise", spec, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert NoiseSpec.parse(manifest["parameters"]["noise"]) == NoiseSpec.parse(spec)

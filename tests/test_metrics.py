@@ -167,7 +167,8 @@ class TestShortestPathFloatPath:
         reference = (dict_betweenness(net), dict_closeness(net), dict_closeness(net, reversed_edges=True))
         for setting, limits in BATCH_LIMITS.items():
             monkeypatch.setattr(metrics, "_limits", limits)
-            for name, got, want in zip(PATH_METRICS, path_metrics(net), reference):
+            fresh = ActivityNetwork(net.nodes, net.edges)  # a kept search would hide the new limits
+            for name, got, want in zip(PATH_METRICS, path_metrics(fresh), reference):
                 assert got.tobytes() == want.tobytes(), (name, setting)
 
     def test_c7_topology(self, monkeypatch):
@@ -199,9 +200,10 @@ class TestShortestPathFloatPath:
 class TestShortestPathMemory:
     def test_each_call_peaks_under_the_kept_closure(self):
         # a batch holds visit stamps and its own levels: no n-wide float rows, no whole pair list
-        net = screening_network()
-        reachability_table(net)  # the kept closure is the input, not working memory
+        screening = screening_network()
         for name in PATH_METRICS:
+            net = ActivityNetwork(screening.nodes, screening.edges)  # each metric runs the whole search
+            reachability_table(net)  # the kept closure is the input, not working memory
             assert traced_peak(metric_vector, net, name) < net.n * net.n / 8, name
 
 
@@ -269,6 +271,14 @@ class TestMetricSuite:
 
     def test_local_rh_vector_is_kept_on_the_network(self, path3):
         assert rh_local_all(path3) is rh_local_all(path3)
+
+    def test_shortest_path_vectors_are_kept_on_the_network(self, diamond):
+        kept = (betweenness(diamond), closeness(diamond), closeness(diamond, reversed_edges=True))
+        assert [vector.name for vector in kept] == list(PATH_METRICS)
+        assert betweenness(diamond) is kept[0]
+        assert closeness(diamond) is kept[1]
+        assert closeness(diamond, reversed_edges=True) is kept[2]
+        assert [metric_vector(diamond, name) for name in PATH_METRICS] == list(kept)  # identity equality
 
     def test_repeated_runs_are_byte_identical(self):
         rng = np.random.default_rng(109)

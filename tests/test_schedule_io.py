@@ -146,6 +146,14 @@ class TestRoundTrip:
             rebuilt = load_network(a_path, d_path, prune=False)
             assert rebuilt == net
 
+    @pytest.mark.parametrize("text", ["a\rb", "a\nb", "a,b", 'a"b', "a\r\nb"])
+    def test_ids_and_names_that_need_quotes_read_back(self, tmp_path, text):
+        record = ActivityRecord(text, text, date(2021, 1, 1), date(2021, 1, 2), None, None)
+        write_activities(tmp_path / "a.csv", [record])
+        write_dependencies(tmp_path / "d.csv", [Dependency(text, text)])
+        assert read_activities(tmp_path / "a.csv") == [record]
+        assert read_dependencies(tmp_path / "d.csv") == [Dependency(text, text)]
+
     def test_json_round_trip(self, tmp_path):
         records = make_records("abc")
         net = build_network(records, [Dependency("a", "b"), Dependency("b", "c")])
