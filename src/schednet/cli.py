@@ -2,8 +2,8 @@
 
 Subcommands: ``validate``, ``analyze``, ``rh``, ``metrics``, ``bins``,
 ``benchmark``, ``generate``. Every run is deterministic: identical inputs
-and flags produce byte-identical artifacts, and ``analyze`` writes a
-manifest listing a content digest for each emitted file.
+and flags produce byte-identical artifacts, and ``analyze`` and ``generate``
+write a manifest listing a content digest for each emitted file.
 
 Exit codes: 0 ok, 2 parse/input error, 3 dependency cycle, 4 network
 empty after pruning, 5 not enough data for the requested analysis.
@@ -40,7 +40,7 @@ from .metrics import METRIC_NAMES, MetricVector, metric_suite, metric_vector
 from .network import ActivityNetwork, Dependency, prune_isolated, weakly_connected_components
 from .performance import BIN_STATS, BinnedStats, DelayVector, bin_by_metric, end_delay, start_delay, suggest_bin_count
 from .reachability import ReachabilityTable, reachability_table, tail_distribution, tail_distribution_csv
-from .schedule_io import csv_cell, load_network, network_to_json, write_activities, write_dependencies
+from .schedule_io import activities_csv, csv_text, dependencies_csv, load_network, network_to_json
 from .synthgen import (
     GeneratorConfig,
     NoiseSpec,
@@ -85,57 +85,61 @@ def entry() -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="DIR", help="directory for emitted artifacts")
-    common.add_argument(
-        "--log-base",
-        choices=("e", "2"),
-        default="e",
-        help="logarithm base for mutual-information output (default: e, i.e. nats)",
-    )
-    common.add_argument(
-        "--bins",
-        type=_bins_arg,
-        default="auto",
-        metavar="N|auto",
-        help="bin count for delay-trend statistics (default: auto)",
-    )
-    common.add_argument("--seed", type=int, default=None, metavar="N", help="generator seed")
-    common.add_argument(
-        "--metric",
-        choices=("start", "end"),
-        default="start",
-        help="delay indicator to analyse (default: start)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="schednet",
         description="Analyse project schedules as directed acyclic activity networks.",
     )
     parser.add_argument("--version", action="version", version=f"schednet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags that several subcommands read; each subcommand takes only those it reads.
+    shared: dict[str, dict[str, Any]] = {
+        "--out": dict(metavar="DIR", help="directory for emitted artifacts"),
+        "--log-base": dict(
+            choices=("e", "2"),
+            default="e",
+            help="logarithm base for mutual-information output (default: e, i.e. nats)",
+        ),
+        "--bins": dict(
+            type=_bins_arg,
+            default="auto",
+            metavar="N|auto",
+            help="bin count for delay-trend statistics (default: auto)",
+        ),
+        "--metric": dict(choices=("start", "end"), default="start", help="delay indicator to analyse (default: start)"),
+    }
 
-    def schedule_command(name: str, help_text: str, func: Callable[..., int]) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
-        cmd.add_argument("activities", help="activities CSV file")
-        cmd.add_argument("dependencies", help="dependencies CSV file")
+    def command(name: str, help_text: str, func: Callable[..., int], *flags: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help_text)
+        for flag in ("--out", *flags):
+            cmd.add_argument(flag, **shared[flag])
         cmd.set_defaults(func=func)
         return cmd
 
+    def schedule_command(name: str, help_text: str, func: Callable[..., int], *flags: str) -> argparse.ArgumentParser:
+        cmd = command(name, help_text, func, *flags)
+        cmd.add_argument("activities", help="activities CSV file")
+        cmd.add_argument("dependencies", help="dependencies CSV file")
+        return cmd
+
     schedule_command("validate", "parse, build and check a schedule; print network stats", cmd_validate)
-    schedule_command("analyze", "run the full pipeline and write every artifact", cmd_analyze)
+    schedule_command(
+        "analyze", "run the full pipeline and write every artifact", cmd_analyze, "--log-base", "--bins", "--metric"
+    )
     schedule_command("rh", "global and per-node reachability-heterogeneity scores", _cmd_subset)
     schedule_command("metrics", "per-node metric suite as wide CSV", _cmd_subset)
-    cmd = schedule_command("bins", "binned delay statistics along one metric", _cmd_subset)
+    cmd = schedule_command("bins", "binned delay statistics along one metric", _cmd_subset, "--bins", "--metric")
     cmd.add_argument(
         "--by",
         choices=METRIC_NAMES,
         default="local_rh",
         help="metric defining the bin axis (default: local_rh)",
     )
-    schedule_command("benchmark", "mutual information of every metric vs the delay", _cmd_subset)
+    schedule_command(
+        "benchmark", "mutual information of every metric vs the delay", _cmd_subset, "--log-base", "--metric"
+    )
 
-    cmd = sub.add_parser("generate", parents=[common], help="write a synthetic schedule")
+    cmd = command("generate", "write a synthetic schedule", cmd_generate)
+    cmd.add_argument("--seed", type=int, default=None, metavar="N", help="generator seed")
     cmd.add_argument("--config", metavar="FILE", help="generator config as JSON")
     cmd.add_argument("--layers", type=int, default=8, help="layer count (default: 8)")
     cmd.add_argument(
@@ -164,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow activities to start before their planned date",
     )
-    cmd.set_defaults(func=cmd_generate)
 
     return parser
 
@@ -178,7 +181,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{key}: {value}")
     print("acyclic: true")
     if args.out:
-        report = _manifest("validate", run.inputs, _parameters(args), run.stats, {}, [])
+        report = _manifest("validate", run.inputs, {}, run.stats, {}, {})
         out_dir = _save(args.out, {"validate.json": _json(report)})
         print(f"report: {out_dir / 'validate.json'}")
     return EXIT_OK
@@ -199,8 +202,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "delay_bins": run.n_bins if has_delays else None,
         "benchmark_bins": run.report.n_bins if has_delays else None,
     }
-    artifacts = [(name, hashlib.sha256(text.encode("utf-8")).hexdigest()) for name, text in texts.items()]
-    manifest = _manifest("analyze", run.inputs, _parameters(args), run.stats, results, artifacts)
+    parameters = {
+        "bins": args.bins,
+        "log_base": args.log_base,
+        "delay": args.metric,
+        "seed": None,  # analyze reads no seed; the key keeps the bytes of every manifest digest recorded so far
+    }
+    manifest = _manifest("analyze", run.inputs, parameters, run.stats, results, texts)
     out_dir = _save(args.out or "schednet_out", {**texts, "manifest.json": _json(manifest)})
     print(f"global_rh: {_fmt(global_rh)}")
     print(f"artifacts: {len(texts) + 1} files in {out_dir}")
@@ -225,46 +233,31 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config, propagation, noise = _generator_setup(args)
     except (ValueError, TypeError) as exc:
         return _fail(exc, EXIT_PARSE)
-    network = generate_dag(config)
-    network = simulate_delays(network, propagation, noise, config.seed)
-    out_dir = _ensure_dir(args.out or "schednet_out")
-    activities_path = out_dir / "activities.csv"
-    dependencies_path = out_dir / "dependencies.csv"
-    write_activities(activities_path, network.nodes)
-    write_dependencies(dependencies_path, _edge_dependencies(network))
-    artifacts = [
-        ("activities.csv", _digest_file(activities_path)),
-        ("dependencies.csv", _digest_file(dependencies_path)),
-    ]
-    manifest = _manifest(
-        "generate",
-        {},
-        {
-            "layer_count": config.layer_count,
-            "layer_width": list(config.widths()),
-            "edge_probability": config.edge_probability,
-            "skip_depth": config.skip_depth,
-            "seed": config.seed,
-            "base_duration_days": list(config.base_duration_days),
-            "noise": str(noise),
-            "slack_days": propagation.slack_days,
-            "clamp_negative": propagation.clamp_negative,
-        },
-        {"nodes": network.n, "dependencies": len(network.edges)},
-        {},
-        artifacts,
-    )
-    _save(out_dir, {"manifest.json": _json(manifest)})
+    network = simulate_delays(generate_dag(config), propagation, noise, config.seed)
+    ids = network.node_ids
+    texts = {
+        "activities.csv": activities_csv(network.nodes),
+        "dependencies.csv": dependencies_csv([Dependency(ids[s], ids[t]) for s, t in network.edges]),
+    }
+    parameters = {
+        "layer_count": config.layer_count,
+        "layer_width": list(config.widths()),
+        "edge_probability": config.edge_probability,
+        "skip_depth": config.skip_depth,
+        "seed": config.seed,
+        "base_duration_days": list(config.base_duration_days),
+        "noise": str(noise),
+        "slack_days": propagation.slack_days,
+        "clamp_negative": propagation.clamp_negative,
+    }
+    stats = {"nodes": network.n, "dependencies": len(network.edges)}
+    manifest = _manifest("generate", {}, parameters, stats, {}, texts)
+    out_dir = _save(args.out or "schednet_out", {**texts, "manifest.json": _json(manifest)})
     print(f"schedule: {network.n} activities, {len(network.edges)} dependencies -> {out_dir}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- helpers
-
-
-def _edge_dependencies(network: ActivityNetwork) -> list[Dependency]:
-    ids = network.node_ids
-    return [Dependency(ids[s], ids[t]) for s, t in network.edges]
 
 
 def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, PropagationConfig, NoiseSpec]:
@@ -273,6 +266,11 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+        for key, (forms, text) in CONFIG_FORMS.items():
+            value = raw.get(key)
+            ints = type(value) is not list or all(type(item) is int for item in value)
+            if key in raw and not (type(value) in forms and ints):
+                raise ValueError(f"{args.config}: {key} must be {text}, got {json.dumps(value)}")
     width = raw.get("layer_width", args.width)
     widths = tuple(int(w) for w in (width if isinstance(width, list) else str(width).split(",")))
     duration_text = raw.get("base_duration_days", args.duration)
@@ -280,21 +278,34 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
         lo, hi = (int(part) for part in duration_text.split(","))
     else:
         lo, hi = (int(part) for part in duration_text)
-    noise = NoiseSpec.parse(str(raw.get("endogenous_noise", args.noise)))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    noise = NoiseSpec.parse(raw.get("endogenous_noise", args.noise))
     config = GeneratorConfig(
-        layer_count=int(raw.get("layer_count", args.layers)),
+        layer_count=raw.get("layer_count", args.layers),
         layer_width=widths[0] if len(widths) == 1 else widths,
         edge_probability=float(raw.get("edge_probability", args.edge_prob)),
-        skip_depth=int(raw.get("skip_depth", args.skip_depth)),
-        seed=seed,
+        skip_depth=raw.get("skip_depth", args.skip_depth),
+        seed=args.seed if args.seed is not None else raw.get("seed", 0),
         base_duration_days=(lo, hi),
     )
-    clamp = raw.get("clamp_negative", not args.no_clamp)
-    if not isinstance(clamp, bool):
-        raise ValueError(f"{args.config}: clamp_negative must be true or false, got {clamp!r}")
-    propagation = PropagationConfig(slack_days=int(raw.get("slack_days", args.slack)), clamp_negative=clamp)
+    propagation = PropagationConfig(
+        slack_days=raw.get("slack_days", args.slack), clamp_negative=raw.get("clamp_negative", not args.no_clamp)
+    )
     return config, propagation, noise
+
+
+# The JSON types each ``generate --config`` key takes, and the words an error names them by.
+# ``int`` never takes true or false, and a list holds integers only.
+CONFIG_FORMS: dict[str, tuple[tuple[type, ...], str]] = {
+    "layer_count": ((int,), "an integer"),
+    "layer_width": ((int, str, list), 'an integer, "W1,W2,..." or a list of integers'),
+    "edge_probability": ((int, float), "a number"),
+    "skip_depth": ((int,), "an integer"),
+    "seed": ((int,), "an integer"),
+    "base_duration_days": ((str, list), '"LO,HI" or a list of integers'),
+    "endogenous_noise": ((str,), "a string"),
+    "slack_days": ((int,), "an integer"),
+    "clamp_negative": ((bool,), "true or false"),
+}
 
 
 class _Run:
@@ -310,7 +321,7 @@ class _Run:
     @cached_property
     def inputs(self) -> dict[str, dict[str, str]]:
         paths = {"activities": Path(self.args.activities), "dependencies": Path(self.args.dependencies)}
-        return {key: {"path": str(path), "sha256": _digest_file(path)} for key, path in paths.items()}
+        return {key: {"path": str(path), "sha256": _sha256(path.read_bytes())} for key, path in paths.items()}
 
     @cached_property
     def raw(self) -> ActivityNetwork:
@@ -352,7 +363,7 @@ class _Run:
     def n_bins(self) -> int:
         if self.args.bins == "auto":
             return suggest_bin_count(self.axis, self.delays)
-        return int(self.args.bins)
+        return self.args.bins
 
     @cached_property
     def binned(self) -> BinnedStats:
@@ -376,23 +387,15 @@ def _bins_arg(text: str) -> Any:
     return value
 
 
-def _parameters(args: argparse.Namespace) -> dict[str, Any]:
-    return {
-        "bins": args.bins,
-        "log_base": args.log_base,
-        "delay": args.metric,
-        "seed": args.seed,
-    }
-
-
 def _manifest(
     command: str,
     inputs: dict[str, dict[str, str]],
     parameters: dict[str, Any],
     network_stats: dict[str, int],
     results: dict[str, Any],
-    artifacts: list[tuple[str, str]],
+    texts: dict[str, str],
 ) -> dict[str, Any]:
+    """The manifest of a run that writes ``texts``, each listed with its sha256 digest."""
     return {
         "tool": {"name": "schednet", "version": __version__},
         "command": command,
@@ -401,7 +404,7 @@ def _manifest(
         "network": network_stats,
         "results": {key: _none_if_nan(value) for key, value in results.items()},
         "artifacts": [
-            {"path": path, "sha256": digest} for path, digest in sorted(artifacts)
+            {"path": name, "sha256": _sha256(texts[name].encode("utf-8"))} for name in sorted(texts)
         ],
     }
 
@@ -501,14 +504,8 @@ def _fmt(value: Any) -> str:
     return repr(x)
 
 
-def _ensure_dir(path: str | Path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _json(payload: dict[str, Any]) -> str:
@@ -516,18 +513,18 @@ def _json(payload: dict[str, Any]) -> str:
 
 
 def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:
-    """CSV text: numbers through :func:`_fmt`, and strings quoted, quotes doubled, where they hold , " CR or LF."""
-    lines = [header]
-    lines += [",".join(csv_cell(cell) if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text by :func:`~schednet.schedule_io.csv_text`, its numbers through :func:`_fmt`."""
+    cells = [[cell if isinstance(cell, str) else _fmt(cell) for cell in row] for row in rows]
+    return csv_text(header.split(","), cells)
 
 
-def _save(out: str | Path, texts: dict[str, str]) -> Path:
+def _save(out: str, texts: dict[str, str]) -> Path:
     """Create ``out`` and write each rendered text into it.
 
-    Every command but ``generate`` renders all its texts first, so a failing stage leaves no ``out``.
+    Every command renders all its texts first, so a failing stage leaves no ``out``.
     """
-    out_dir = _ensure_dir(out)
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
     return out_dir

@@ -95,7 +95,7 @@ def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, Metric
     if network._paths is None:
         n = network.n
         table = closure(network)
-        degree = np.bincount([s for s, _ in network.edges], minlength=n)
+        degree = network.out_degrees()
         adjacency = (np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64))
         bounds, stamp = _batches(n, table.descendant_counts)
         score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)

@@ -225,8 +225,7 @@ def topological_order(network: ActivityNetwork) -> list[int]:
                 if remaining[j] == 0:
                     heapq.heappush(ready, j)
         if len(order) < n:
-            stuck = [i for i in range(n) if remaining[i] > 0]
-            cycle = _find_cycle(succ, stuck)
+            cycle = _find_cycle(network.predecessor_lists, remaining)
             raise CycleDetected([network.nodes[i].id for i in cycle])
         network._order = tuple(order)
     return list(network._order)
@@ -289,31 +288,17 @@ def weakly_connected_components(network: ActivityNetwork) -> ComponentSummary:
     return ComponentSummary(count, largest, labels)
 
 
-def _find_cycle(succ: Sequence[Sequence[int]], candidates: Sequence[int]) -> list[int]:
-    """Return one directed cycle among ``candidates`` (all lie on cycles or paths to them)."""
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    for start in candidates:
-        if state.get(start):
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        path: list[int] = []
-        on_path: dict[int, int] = {}
-        while stack:
-            node, edge_pos = stack.pop()
-            if edge_pos == 0:
-                state[node] = 1
-                on_path[node] = len(path)
-                path.append(node)
-            children = succ[node]
-            if edge_pos < len(children):
-                stack.append((node, edge_pos + 1))
-                child = children[edge_pos]
-                if state.get(child) == 1:
-                    return path[on_path[child]:]
-                if not state.get(child):
-                    stack.append((child, 0))
-            else:
-                state[node] = 2
-                path.pop()
-                del on_path[node]
-    raise AssertionError("no cycle found among candidate nodes")
+def _find_cycle(pred: Sequence[Sequence[int]], remaining: Sequence[int]) -> list[int]:
+    """One directed cycle, in forward order, through nodes a topological sort never popped.
+
+    Such a node keeps a nonzero ``remaining`` count, and so has a predecessor
+    that was never popped either: walking back through these from the
+    smallest one repeats a node, and the walk from its first visit on is a
+    cycle, reversed.
+    """
+    walk: dict[int, int] = {}  # node -> its position on the walk
+    node = next(i for i, count in enumerate(remaining) if count)
+    while node not in walk:
+        walk[node] = len(walk)
+        node = next(p for p in pred[node] if remaining[p])
+    return list(walk)[walk[node]:][::-1]

@@ -94,7 +94,8 @@ def read_dependencies(
     return deps
 
 
-def write_activities(path: str | Path, records: Sequence[ActivityRecord]) -> None:
+def activities_csv(records: Sequence[ActivityRecord]) -> str:
+    """Activities CSV text; an activity without actual dates gets empty cells."""
     rows = [
         (
             rec.id,
@@ -106,11 +107,19 @@ def write_activities(path: str | Path, records: Sequence[ActivityRecord]) -> Non
         )
         for rec in records
     ]
-    _write_csv(path, ACTIVITY_FIELDS, rows)
+    return csv_text(ACTIVITY_FIELDS, rows)
+
+
+def dependencies_csv(deps: Sequence[Dependency]) -> str:
+    return csv_text(DEPENDENCY_FIELDS, [(d.predecessor, d.successor) for d in deps])
+
+
+def write_activities(path: str | Path, records: Sequence[ActivityRecord]) -> None:
+    Path(path).write_text(activities_csv(records), encoding="utf-8", newline="")
 
 
 def write_dependencies(path: str | Path, deps: Sequence[Dependency]) -> None:
-    _write_csv(path, DEPENDENCY_FIELDS, [(d.predecessor, d.successor) for d in deps])
+    Path(path).write_text(dependencies_csv(deps), encoding="utf-8", newline="")
 
 
 def load_network(
@@ -218,8 +227,8 @@ def csv_cell(text: str) -> str:
     return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    """Write rows of strings as CSV text, each cell by :func:`csv_cell`.
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """CSV text of a header and rows of strings, each cell by :func:`csv_cell`.
 
     Four substring searches over all cells' text find whether any cell
     needs quotes, so a file that needs none takes no Python step per cell.
@@ -227,5 +236,4 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[
     cells = "".join(map("".join, rows))
     if any(mark in cells for mark in _QUOTED):
         rows = [[csv_cell(cell) for cell in row] for row in rows]
-    text = "\n".join(map(",".join, [header, *rows])) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    return "\n".join(map(",".join, [header, *rows])) + "\n"

@@ -157,6 +157,13 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "no.csv"), str(tmp_path / "no2.csv")]) == 2
 
+    def test_report_records_no_parameters(self, schedule_files, tmp_path):
+        out = tmp_path / "report"
+        assert main(["validate", *map(str, schedule_files), "--out", str(out)]) == 0
+        report = json.loads((out / "validate.json").read_text())
+        assert report["parameters"] == {}
+        assert report["artifacts"] == []
+
     @pytest.mark.parametrize("row", [b"\xff,x\n", b'"' + b"x" * 131_073 + b'",y\n'], ids=["undecodable", "oversized"])
     @pytest.mark.parametrize("broken", ["activities", "dependencies"])
     def test_unreadable_file_exits_2(self, schedule_files, capsys, broken, row):
@@ -167,6 +174,40 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}")
         assert "Traceback" not in err
+
+
+# The flags each subcommand reads besides --out, which every subcommand takes.
+READS = {
+    "validate": (),
+    "analyze": ("--log-base", "--bins", "--metric"),
+    "rh": (),
+    "metrics": (),
+    "bins": ("--bins", "--metric"),
+    "benchmark": ("--log-base", "--metric"),
+    "generate": ("--seed",),
+}
+FLAG_VALUES = {  # flag: (its argument, the attribute it sets, the parsed value)
+    "--log-base": ("2", "log_base", "2"),
+    "--bins": ("3", "bins", 3),
+    "--metric": ("end", "metric", "end"),
+    "--seed": ("9", "seed", 9),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_subcommand_takes_only_the_flags_it_reads(command, flag, capsys):
+    text, dest, value = FLAG_VALUES[flag]
+    schedule = [] if command == "generate" else ["a.csv", "d.csv"]
+    argv = [command, *schedule, "--out", "o", flag, text]
+    if flag in READS[command]:
+        args = schednet.cli.build_parser().parse_args(argv)
+        assert (args.out, getattr(args, dest)) == ("o", value)
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["schednet", "schednet.cli"])
@@ -233,6 +274,16 @@ def test_analyze_imports_nothing_but_numpy_and_the_standard_library(schedule_fil
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def assert_manifest_digests_match_files(out):
+    """Check every artifact ``out/manifest.json`` lists against its file's sha256; return the manifest."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tool"]["name"] == "schednet"
+    for artifact in manifest["artifacts"]:
+        digest = hashlib.sha256((out / artifact["path"]).read_bytes()).hexdigest()
+        assert digest == artifact["sha256"]
+    return manifest
+
+
 class TestAnalyze:
     def test_writes_full_artifact_set(self, tmp_path):
         a, d = synth_files(tmp_path)
@@ -257,12 +308,8 @@ class TestAnalyze:
         a, d = synth_files(tmp_path)
         out = tmp_path / "report"
         main(["analyze", str(a), str(d), "--out", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["tool"]["name"] == "schednet"
+        manifest = assert_manifest_digests_match_files(out)
         assert len(manifest["artifacts"]) == 10
-        for artifact in manifest["artifacts"]:
-            digest = hashlib.sha256((out / artifact["path"]).read_bytes()).hexdigest()
-            assert digest == artifact["sha256"]
         stats = manifest["network"]
         assert stats["nodes"] > 0 and stats["dependencies"] > 0
 
@@ -613,6 +660,43 @@ class TestGenerate:
         else:
             manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
             assert manifest["parameters"]["clamp_negative"] is value
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("layer_count", 4.0),
+            ("layer_count", "4"),
+            ("layer_width", [2, True, 2]),
+            ("edge_probability", "0.5"),
+            ("skip_depth", True),
+            ("seed", 1.7),
+            ("seed", False),
+            ("base_duration_days", [1.5, 4]),
+            ("slack_days", 2.9),
+        ],
+    )
+    def test_config_value_of_the_wrong_json_type_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"layer_count": 4, key: value}), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 2
+        assert f"error: {cfg_path}: {key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
+    def test_config_forms_that_ran_are_recorded(self, tmp_path):
+        config = {"layer_count": 3, "layer_width": "2,3,2", "edge_probability": 1, "base_duration_days": "2,4"}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 0
+        parameters = json.loads((tmp_path / "gen" / "manifest.json").read_text())["parameters"]
+        assert parameters["layer_width"] == [2, 3, 2] and parameters["base_duration_days"] == [2, 4]
+        assert parameters["edge_probability"] == 1.0 and isinstance(parameters["edge_probability"], float)
+
+    def test_manifest_digests_match_files(self, tmp_path):
+        out = tmp_path / "gen"
+        assert main(["generate", "--layers", "5", "--noise", "two_point:0.2,8", "--out", str(out)]) == 0
+        manifest = assert_manifest_digests_match_files(out)
+        assert [artifact["path"] for artifact in manifest["artifacts"]] == ["activities.csv", "dependencies.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["activities.csv", "dependencies.csv", "manifest.json"]
 
     @pytest.mark.parametrize("spec", ["none", "uniform:-2,3", "two_point:0.2,8", "two_point:0.15,10"])
     def test_manifest_records_the_noise_spec_that_ran(self, tmp_path, spec):

@@ -79,6 +79,21 @@ class TestBuildNetwork:
             make_network("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
         assert set(excinfo.value.cycle) == {"a", "b", "c"}
 
+    @pytest.mark.parametrize(
+        "edges, cycle",
+        [
+            ([("c", "d"), ("d", "e"), ("e", "c"), ("e", "a"), ("a", "b")], ["c", "d", "e"]),
+            ([("a", "e"), ("e", "d"), ("d", "e"), ("b", "a"), ("d", "c")], ["d", "e"]),
+            ([("a", "b"), ("b", "a"), ("d", "e"), ("e", "d"), ("b", "c"), ("c", "d")], ["a", "b"]),
+        ],
+    )
+    def test_cycle_is_named_exactly_when_stuck_nodes_hang_downstream(self, edges, cycle):
+        with pytest.raises(CycleDetected) as excinfo:
+            make_network("abcde", edges)
+        named = excinfo.value.cycle
+        assert sorted(named) == cycle
+        assert set(zip(named, named[1:] + named[:1])) <= set(edges)
+
     def test_duplicate_rows_collapse_to_one_edge(self, caplog):
         with caplog.at_level(logging.WARNING):
             net = make_network("ab", [("a", "b"), ("a", "b")])
