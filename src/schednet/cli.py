@@ -18,7 +18,7 @@ import logging
 import math
 import sys
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -42,9 +42,11 @@ from .performance import BIN_STATS, BinnedStats, DelayVector, bin_by_metric, end
 from .reachability import ReachabilityTable, reachability_table, tail_distribution, tail_distribution_csv
 from .schedule_io import activities_csv, csv_text, dependencies_csv, load_network, network_to_json
 from .synthgen import (
+    MAX_DRAWS,
     GeneratorConfig,
     NoiseSpec,
     PropagationConfig,
+    draw_count,
     generate_dag,
     simulate_delays,
 )
@@ -59,8 +61,7 @@ EXIT_NODATA = 5
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
     with warnings.catch_warnings():
         warnings.showwarning = _log_warning
@@ -172,6 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built once: parsing leaves it as it was."""
+    return build_parser()
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -266,26 +273,39 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        for key, (forms, text) in CONFIG_FORMS.items():
+        for key, (forms, text, _) in CONFIG_FORMS.items():
             value = raw.get(key)
             ints = type(value) is not list or all(type(item) is int for item in value)
             if key in raw and not (type(value) in forms and ints):
                 raise ValueError(f"{args.config}: {key} must be {text}, got {json.dumps(value)}")
-    width = raw.get("layer_width", args.width)
-    widths = tuple(int(w) for w in (width if isinstance(width, list) else str(width).split(",")))
-    duration_text = raw.get("base_duration_days", args.duration)
-    if isinstance(duration_text, str):
-        lo, hi = (int(part) for part in duration_text.split(","))
-    else:
-        lo, hi = (int(part) for part in duration_text)
+
+    def given(key: str) -> tuple[Any, str]:
+        """The value of ``key`` and the name of where it came from: the config file's key or the flag."""
+        if key in raw:
+            return raw[key], f"{args.config}: {key}"
+        flag = CONFIG_FORMS[key][2]
+        return getattr(args, flag[2:].replace("-", "_")), flag
+
+    widths = _ints(*given("layer_width"))
+    lo_hi = _ints(*given("base_duration_days"))
+    if len(lo_hi) != 2:
+        value, name = given("base_duration_days")
+        raise ValueError(f"{name} must be two integers LO,HI, got {json.dumps(value)}")
+    (layer_count, count_name), (skip_depth, skip_name) = given("layer_count"), given("skip_depth")
+    layer_width = widths[0] if len(widths) == 1 else widths
+    if min(layer_count, skip_depth, *widths) >= 1:  # otherwise GeneratorConfig names the bad value
+        draws = draw_count(layer_count, layer_width, skip_depth)
+        if draws > MAX_DRAWS:
+            names = f"{count_name}, {given('layer_width')[1]} and {skip_name}"
+            raise ValueError(f"{names} ask for {draws:,} random draws, more than {MAX_DRAWS:,}")
     noise = NoiseSpec.parse(raw.get("endogenous_noise", args.noise))
     config = GeneratorConfig(
-        layer_count=raw.get("layer_count", args.layers),
-        layer_width=widths[0] if len(widths) == 1 else widths,
+        layer_count=layer_count,
+        layer_width=layer_width,
         edge_probability=float(raw.get("edge_probability", args.edge_prob)),
-        skip_depth=raw.get("skip_depth", args.skip_depth),
+        skip_depth=skip_depth,
         seed=args.seed if args.seed is not None else raw.get("seed", 0),
-        base_duration_days=(lo, hi),
+        base_duration_days=lo_hi,
     )
     propagation = PropagationConfig(
         slack_days=raw.get("slack_days", args.slack), clamp_negative=raw.get("clamp_negative", not args.no_clamp)
@@ -293,19 +313,28 @@ def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, Propaga
     return config, propagation, noise
 
 
-# The JSON types each ``generate --config`` key takes, and the words an error names them by.
-# ``int`` never takes true or false, and a list holds integers only.
-CONFIG_FORMS: dict[str, tuple[tuple[type, ...], str]] = {
-    "layer_count": ((int,), "an integer"),
-    "layer_width": ((int, str, list), 'an integer, "W1,W2,..." or a list of integers'),
-    "edge_probability": ((int, float), "a number"),
-    "skip_depth": ((int,), "an integer"),
-    "seed": ((int,), "an integer"),
-    "base_duration_days": ((str, list), '"LO,HI" or a list of integers'),
-    "endogenous_noise": ((str,), "a string"),
-    "slack_days": ((int,), "an integer"),
-    "clamp_negative": ((bool,), "true or false"),
+# The JSON types each ``generate --config`` key takes, the words an error names them by, and
+# the flag the key overrides. ``int`` never takes true or false, and a list holds integers only.
+CONFIG_FORMS: dict[str, tuple[tuple[type, ...], str, str]] = {
+    "layer_count": ((int,), "an integer", "--layers"),
+    "layer_width": ((int, str, list), 'an integer, "W1,W2,..." or a list of integers', "--width"),
+    "edge_probability": ((int, float), "a number", "--edge-prob"),
+    "skip_depth": ((int,), "an integer", "--skip-depth"),
+    "seed": ((int,), "an integer", "--seed"),
+    "base_duration_days": ((str, list), '"LO,HI" or a list of integers', "--duration"),
+    "endogenous_noise": ((str,), "a string", "--noise"),
+    "slack_days": ((int,), "an integer", "--slack"),
+    "clamp_negative": ((bool,), "true or false", "--no-clamp"),
 }
+
+
+def _ints(value: Any, name: str) -> tuple[int, ...]:
+    """The integers of a JSON list or a comma-separated text; a ValueError names ``name``."""
+    parts = value if isinstance(value, list) else str(value).split(",")
+    try:
+        return tuple(int(part) for part in parts)
+    except ValueError:
+        raise ValueError(f"{name} must be integers separated by commas, got {json.dumps(value)}") from None
 
 
 class _Run:

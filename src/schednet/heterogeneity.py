@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
 from .network import ActivityNetwork, topological_order
-from .reachability import ReachabilityTable, closure
+from .reachability import closure
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +175,8 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
 _CHUNK = 1 << 16  # matrix entries per unpack step and per product block
 _GROUP = 8  # rows per aligned block unit of ``_product``
 _DOT = 10_000  # entries per piece of ``_dot``; OpenBLAS runs a dot this long on one thread
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit j & 7 of a packed byte
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # set bits per byte
 
 
 def _normalizer(n: int) -> float:
@@ -189,20 +191,19 @@ class _ReducedReach:
     closure with the rows of anc(k) replaced by their reach without paths
     through k, and a reduced row is its ``work`` row unpacked without bit k.
     ``y`` holds the reduced matrix's blocked product with the reduced
-    network's w. Moving to k + 1 only rewrites what changes, in both.
+    network's w. Moving to k + 1 only rewrites what changes, in both. The
+    replaced rows come from the run of removed nodes that holds k
+    (``_cone_run``).
     """
 
     def __init__(self, network: ActivityNetwork) -> None:
         self.n = n = network.n
-        self.succ = network.successor_lists
         table = closure(network)
         self.table, self.rows = table, table._rows
         self.work = self.rows.copy()
         self.order = np.array(topological_order(network), dtype=np.int64)
         self.rank = np.argsort(self.order)  # rank[order[r]] = r
         self.ancestors = _ancestor_rows(self.rows, self.order)
-        # closed descendant sets, each node included, as Python-int bitsets
-        self.closed = [int.from_bytes(row.tobytes(), "little") | (1 << i) for i, row in enumerate(self.rows)]
         self.inverse = _inverse_roots(n)
         size = max(n - 1, 0)
         self.y = np.empty(size, dtype=np.float64)
@@ -213,18 +214,105 @@ class _ReducedReach:
         self.block = _block(size)
         self.removed: int | None = None
         self.patched = np.empty(0, dtype=np.int64)
+        # successors as CSR arrays (edges are sorted by source) and each node's height
+        self.degree = network.out_degrees()
+        self.first = np.cumsum(self.degree) - self.degree
+        self.targets = np.array([t for _, t in network.edges], dtype=np.int64)
+        self.height = _heights(network.successor_lists, self.order)
+        budget, nbytes = _run_budget(n), self.rows.shape[1]
+        # cone rows per run: as many as fill the budget, and at least the largest cone
+        self.capacity = max(1, int(table.ancestor_counts.max(initial=0)), min(budget // nbytes, table.pair_count))
+        self.span = max(1, min(n, budget // (4 * n)))  # removed nodes per run, so its int32 source table fits the budget
+        self.cumulative = np.concatenate(([0], np.cumsum(table.ancestor_counts)))
+        # closed base rows, a zero row that stands for the removed node, then the run's cone rows;
+        # rows are whole 64-bit words, so a gather and its OR move 8 bytes at a time
+        self.buffer = np.zeros((n + 1 + self.capacity, -(-nbytes // 8)), dtype=np.uint64)
+        self.bytes = self.buffer.view(np.uint8)[:, :nbytes]
+        self.bytes[:n] = self.rows
+        nodes = np.arange(n)
+        self.bytes[nodes, nodes >> 3] |= _BIT[nodes & 7]
+        self.lost = np.empty((self.capacity + self.span, nbytes), dtype=np.uint8)
+        self.run = range(0)
 
     def value_without(self, k: int) -> float:
         """RH of the network without node ``k``."""
+        if k not in self.run:
+            self._cone_run(k)
         follows = k > 0 and self.removed == k - 1
-        cone = self.order[np.flatnonzero(_bits(self.ancestors[k], self.n))[::-1]]
+        lo, hi = self.bounds[k - self.run.start], self.bounds[k - self.run.start + 1]
+        cone, reduced = self.cone[lo:hi], self.bytes[self.n + 1 + lo:self.n + 1 + hi]
         self.work[self.patched] = self.rows[self.patched]
-        reduced, d, a = _without_node(self.table, self.succ, self.closed, cone, k)
         self.work[cone] = reduced
         self.removed, self.patched = k, cone
+        d = self.table.descendant_counts.copy()
+        d[cone] = self.counts[lo:hi]
+        # Ancestor counts lose k's descendants and every pair a cone row no
+        # longer reaches; the reduced rows are subsets of the base rows.
+        lost = self.lost[lo + k - self.run.start:hi + k - self.run.start + 1]
+        a = self.table.ancestor_counts.copy()
+        step = max(1, _CHUNK // self.n)
+        for start in range(0, len(lost), step):
+            a -= _bits(lost[start:start + step], self.n).sum(axis=0, dtype=np.int64)
+        d, a = _without(d, k), _without(a, k)
         rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
         _product(self.y, self.work, k, self.inverse[a], rows, self.block)
         return _rh(_dot(self.inverse[d], self.y), d, a)
+
+    def _cone_run(self, k0: int) -> None:
+        """Rows over paths avoiding k, for every k of the run from ``k0`` and every i in anc(k).
+
+        The run takes nodes k0, k0 + 1, ... while their cones fit
+        ``capacity`` rows and they number at most ``span``; it always takes
+        k0. Its pairs (k, i) go through in ascending height(i), one level at
+        a time, so every successor j of i is lower and its row final. The
+        closed row (k, i) is bit i ORed with row (k, j) for j in anc(k), with
+        the zero row for j = k and with j's closed base row otherwise, all
+        gathered from ``buffer`` through the run's table of sources and
+        reduced per pair. A gather holds at most ``capacity`` rows and one
+        node's successors. The rows end as the pairs' reduced rows, without
+        bit i, and ``counts`` as their sizes.
+        """
+        n, buffer = self.n, self.buffer
+        k1 = int(np.searchsorted(self.cumulative, self.cumulative[k0] + self.capacity, "right")) - 1
+        k1 = max(k0 + 1, min(k1, k0 + self.span))
+        # pair keys (k - k0) * n + rank(i), ascending: by k, then in topological order
+        step = max(1, _CHUNK // n)
+        keys = np.concatenate(
+            [np.flatnonzero(_bits(self.ancestors[s:min(s + step, k1)], n)) + (s - k0) * n for s in range(k0, k1, step)]
+        )
+        self.run, self.bounds = range(k0, k1), (self.cumulative[k0:k1 + 1] - self.cumulative[k0]).tolist()
+        self.cone = cone = self.order[keys % n]
+        owner = keys - keys % n  # (k - k0) * n
+        # the buffer row that stands for node j while k is removed sits at slot (k - k0) * n + j
+        slot = np.tile(np.arange(n, dtype=np.int32), k1 - k0)
+        slot[owner + cone] = n + 1 + np.arange(len(keys))
+        slot[np.arange(k1 - k0) * n + np.arange(k0, k1)] = n
+        rows = self.bytes[n + 1:n + 1 + len(keys)]
+        rows[:] = 0
+        rows[np.arange(len(keys)), cone >> 3] = _BIT[cone & 7]
+        pairs = np.argsort(self.height[cone], kind="stable")
+        degree = self.degree[cone[pairs]]
+        ends = np.cumsum(degree)
+        starts = ends - degree
+        targets = self.targets[np.repeat(self.first[cone[pairs]] - starts, degree) + np.arange(degree.sum())]
+        source = slot[np.repeat(owner[pairs], degree) + targets]
+        # a step is one level's pairs whose edges start in one stretch of ``capacity``
+        steps = self.height[cone[pairs]] * len(source) + starts // self.capacity
+        cuts = [*np.flatnonzero(np.diff(steps, prepend=-1)).tolist(), len(pairs)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            buffer[n + 1 + pairs[lo:hi]] |= np.bitwise_or.reduceat(
+                buffer[source[starts[lo]:ends[hi - 1]]], starts[lo:hi] - starts[lo]
+            )
+        del slot, source
+        lost = self.rows[cone]
+        rows &= lost  # the closed rows without their own bit
+        self.counts = np.empty(len(keys), dtype=np.int64)
+        for s in range(0, len(keys), step):
+            self.counts[s:s + step] = np.take(_POPCOUNT, rows[s:s + step]).sum(axis=1, dtype=np.int64)
+        lost ^= rows
+        # the bits each k takes from the ancestor counts: row k, then the bits its cone rows lost
+        self.lost[np.arange(len(keys)) + keys // n + 1] = lost
+        self.lost[self.cumulative[k0:k1] - self.cumulative[k0] + np.arange(k1 - k0)] = self.rows[k0:k1]
 
     def _dirty(self, k: int) -> np.ndarray:
         """Reduced rows below the cut whose product can differ from node k-1's.
@@ -237,6 +325,20 @@ class _ReducedReach:
         reach = np.bitwise_or.reduce(self.ancestors[touched.view(bool)], axis=0)
         dirty = _without(_bits(reach, self.n)[self.rank] | touched, k)
         return np.flatnonzero(dirty[:self.cut])
+
+
+def _run_budget(n: int) -> int:
+    """Bytes that a run's cone rows, and its table of gather sources, may each fill: the closure's n^2/8 or ``_CHUNK``."""
+    return max(n * n // 8, _CHUNK)
+
+
+def _heights(succ, order: np.ndarray) -> np.ndarray:
+    """Each node's longest path to a sink, in edges."""
+    height = [0] * len(succ)
+    for i in order[::-1].tolist():
+        if succ[i]:
+            height[i] = 1 + max(height[j] for j in succ[i])
+    return np.array(height, dtype=np.int64)
 
 
 def _ancestor_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -253,40 +355,6 @@ def _ancestor_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
         block = _bits(rows[order[start:start + step]], n)
         out[:, start // 8:(start + step) // 8] = np.packbits(block.T, axis=1, bitorder="little")
     return out
-
-
-def _without_node(
-    table: ReachabilityTable, succ, closed, cone: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``cone`` rows over paths avoiding ``k``, packed, and the counts without ``k``.
-
-    ``cone`` is anc(k) in reverse topological order, so every successor
-    inside it is final before its predecessors fold it in; successors
-    outside it cannot reach k and keep their closed base row from
-    ``closed``.
-    """
-    within: dict[int, int] = {}
-    rows = []
-    for i in cone.tolist():
-        bits = 0
-        for j in succ[i]:
-            if j != k:
-                bits |= within.get(j, closed[j])
-        within[i] = bits | (1 << i)
-        rows.append(bits)
-    nbytes = table._rows.shape[1]
-    packed = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
-    reduced = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes)
-    d = table.descendant_counts.copy()
-    d[cone] = [bits.bit_count() for bits in rows]
-    # Ancestor counts lose k's descendants and every pair a cone row no
-    # longer reaches; the reduced rows are subsets of the base rows.
-    lost = np.vstack((table._rows[k], table._rows[cone] ^ reduced))
-    a = table.ancestor_counts.copy()
-    step = max(1, _CHUNK // len(d))
-    for start in range(0, len(lost), step):
-        a -= _bits(lost[start:start + step], len(d)).sum(axis=0, dtype=np.int64)
-    return reduced, _without(d, k), _without(a, k)
 
 
 def _layout(n: int) -> tuple[int, int]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Mapping
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -115,13 +116,21 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.layer_count < 1:
             raise ValueError("layer_count must be >= 1")
-        widths = self.widths()
-        if len(widths) != self.layer_count or any(w < 1 for w in widths):
-            raise ValueError("layer widths must be positive, one per layer")
-        if not 0.0 < self.edge_probability <= 1.0:
-            raise ValueError("edge_probability must lie in (0, 1]")
         if self.skip_depth < 1:
             raise ValueError("skip_depth must be >= 1")
+        if isinstance(self.layer_width, int):
+            shaped = self.layer_width >= 1
+        else:
+            shaped = len(self.layer_width) == self.layer_count and all(w >= 1 for w in self.layer_width)
+        if not shaped:
+            raise ValueError("layer widths must be positive, one per layer")
+        draws = draw_count(self.layer_count, self.layer_width, self.skip_depth)
+        if draws > MAX_DRAWS:
+            raise ValueError(
+                f"layer_count, layer_width and skip_depth ask for {draws:,} random draws, more than {MAX_DRAWS:,}"
+            )
+        if not 0.0 < self.edge_probability <= 1.0:
+            raise ValueError("edge_probability must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         lo, hi = self.base_duration_days
@@ -132,6 +141,26 @@ class GeneratorConfig:
         if isinstance(self.layer_width, int):
             return (self.layer_width,) * self.layer_count
         return tuple(self.layer_width)
+
+
+# The most random numbers one generator config may draw (see ``draw_count``).
+MAX_DRAWS = 100_000_000
+
+
+def draw_count(layer_count: int, layer_width: int | Sequence[int], skip_depth: int) -> int:
+    """Random numbers ``generate_dag`` draws: one per node pair at layer distance 1..``skip_depth``, one per node.
+
+    Integer arithmetic over positive arguments; one width for every layer
+    takes constant time, so no tuple of ``layer_count`` widths is built.
+    """
+    if isinstance(layer_width, int):
+        gaps = min(skip_depth, layer_count - 1)  # layer pairs: gaps at each of the first layers, fewer at the end
+        pairs = (gaps * (layer_count - 1) - gaps * (gaps - 1) // 2) * layer_width * layer_width
+        return pairs + layer_count * layer_width
+    prefix = [0, *accumulate(layer_width)]
+    last = len(layer_width)
+    pairs = sum(w * (prefix[min(last, i + 1 + skip_depth)] - prefix[i + 1]) for i, w in enumerate(layer_width))
+    return pairs + prefix[-1]
 
 
 @dataclass(frozen=True)

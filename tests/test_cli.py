@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,6 +35,7 @@ from schednet import (
     write_dependencies,
 )
 from schednet.cli import main
+from oracles import traced_peak
 
 ACTIVITIES = """id,name,planned_start,planned_end,actual_start,actual_end
 a,Dig,2021-01-01,2021-01-05,2021-01-02,2021-01-06
@@ -208,6 +210,27 @@ def test_subcommand_takes_only_the_flags_it_reads(command, flag, capsys):
             main(argv)
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+
+
+def test_the_kept_parser_gives_each_call_what_a_fresh_parser_gives(tmp_path):
+    a, d = synth_files(tmp_path)
+    calls = [
+        ["analyze", str(a), str(d)],
+        ["generate", "--layers", "4", "--seed", "3", "--noise", "uniform:0,2"],
+        ["analyze", str(a), str(d), "--bins", "3", "--metric", "end", "--log-base", "2"],
+    ]
+    outputs = {}
+    for run in "kept", "fresh":
+        for k, argv in enumerate(calls):
+            if run == "fresh":
+                schednet.cli._parser.cache_clear()
+            out = tmp_path / run / str(k)
+            code = main([*argv, "--out", str(out)])
+            outputs.setdefault(k, []).append((code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    for k, (kept, fresh) in outputs.items():
+        assert kept[0] == 0 and kept == fresh, calls[k]
+    for argv in calls:  # no flag of an earlier call reaches a later call's namespace
+        assert vars(schednet.cli._parser().parse_args(argv)) == vars(schednet.cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("module", ["schednet", "schednet.cli"])
@@ -697,6 +720,48 @@ class TestGenerate:
         manifest = assert_manifest_digests_match_files(out)
         assert [artifact["path"] for artifact in manifest["artifacts"]] == ["activities.csv", "dependencies.csv"]
         assert sorted(p.name for p in out.iterdir()) == ["activities.csv", "dependencies.csv", "manifest.json"]
+
+    @pytest.mark.parametrize(
+        "flags, config, name",
+        [
+            (["--duration", "1"], None, "--duration"),
+            (["--duration", "1,2,3"], None, "--duration"),
+            ([], {"base_duration_days": []}, "base_duration_days"),
+            ([], {"base_duration_days": [1, 2, 3]}, "base_duration_days"),
+            ([], {"base_duration_days": "1"}, "base_duration_days"),
+        ],
+    )
+    def test_a_duration_that_is_not_two_integers_exits_2_naming_its_key_or_flag(
+        self, tmp_path, capsys, flags, config, name
+    ):
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            flags, name = ["--config", str(cfg_path)], f"{cfg_path}: {name}"
+        assert main(["generate", *flags, "--out", str(tmp_path / "gen")]) == 2
+        assert f"error: {name} must be two integers LO,HI, got " in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config, names",
+        [
+            (["--layers", "100000000000"], None, "--layers, --width and --skip-depth"),
+            ([], {"layer_width": 100000, "layer_count": 3}, "{0}: layer_count, {0}: layer_width and --skip-depth"),
+            ([], {"layer_width": 2**70}, "--layers, {0}: layer_width and --skip-depth"),
+        ],
+    )
+    def test_an_oversized_config_exits_2_at_once_naming_its_keys_or_flags(self, tmp_path, capsys, flags, config, names):
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            flags, names = ["--config", str(cfg_path)], names.format(cfg_path)
+        codes, start = [], time.perf_counter()
+        peak = traced_peak(lambda: codes.append(main(["generate", *flags, "--out", str(tmp_path / "gen")])))
+        assert codes == [2]
+        assert time.perf_counter() - start < 1.0 and peak < 1 << 20  # no draw, no tuple of layer widths
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {names} ask for ") and err.endswith(" random draws, more than 100,000,000\n")
+        assert "Traceback" not in err and not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize("spec", ["none", "uniform:-2,3", "two_point:0.2,8", "two_point:0.15,10"])
     def test_manifest_records_the_noise_spec_that_ran(self, tmp_path, spec):

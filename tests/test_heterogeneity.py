@@ -30,6 +30,7 @@ from schednet import (
     rh_local_all,
 )
 from schednet import heterogeneity
+from schednet.network import ActivityNetwork
 from oracles import (
     decimal_rh,
     make_network,
@@ -522,3 +523,60 @@ class TestPartialRefresh:
     def test_sweep_peaks_under_a_quarter_of_the_float_matrix(self, c7):
         # the sweep holds packed rows and one float block, no reduced matrix
         assert traced_peak(rh_local_all, c7) < (c7.n - 1) ** 2 * 8 / 4
+
+
+# _run_budget stand-ins: runs of one removed node, of at most two, and of the whole network
+RUN_BUDGETS = {"one node": lambda n: 0, "two nodes": lambda n: 8 * n, "whole network": lambda n: 1 << 40}
+
+
+def sweep_under(net, budget):
+    """``rh_local_all`` of a fresh copy of ``net`` with runs sized by ``budget``, and each run's length."""
+    lengths = []
+    cone_run = heterogeneity._ReducedReach._cone_run
+
+    def counted(self, k0):
+        cone_run(self, k0)
+        lengths.append(len(self.run))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heterogeneity, "_run_budget", budget)
+        patch.setattr(heterogeneity._ReducedReach, "_cone_run", counted)
+        values = rh_local_all(ActivityNetwork(net.nodes, net.edges)).values
+    return values, lengths
+
+
+class TestConeRuns:
+    """The rows of anc(k) without k come from one level-by-level pass per run of removed nodes."""
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(dags(), st.sampled_from(sorted(RUN_BUDGETS)))
+    def test_rows_match_the_rebuilt_closure(self, net, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heterogeneity, "_run_budget", RUN_BUDGETS[budget])
+            reduced = heterogeneity._ReducedReach(net)
+            for k in range(net.n):
+                reduced.value_without(k)
+                rebuilt = reachability_table(without_node(net, k))._rows
+                for i in range(net.n):
+                    if i != k:
+                        row = np.delete(np.unpackbits(reduced.work[i], count=net.n, bitorder="little"), k)
+                        expected = np.unpackbits(rebuilt[i - (i > k)], count=net.n - 1, bitorder="little")
+                        assert row.tolist() == expected.tolist(), (k, i)
+
+    @pytest.mark.parametrize("name", ["c7", "sparse", *SWEEP_TAILS])
+    def test_every_run_size_gives_the_same_bits(self, name):
+        net = NETWORKS[name]()
+        expected = rh_local_all(net).values
+        for budget, most in ("one node", 1), ("two nodes", 2), ("whole network", net.n):
+            values, lengths = sweep_under(net, RUN_BUDGETS[budget])
+            assert values.tobytes() == expected.tobytes(), budget
+            assert sum(lengths) == net.n and max(lengths) == most, budget
+
+    def test_single_values_match_the_sweep_under_every_run_size(self, sparse):
+        values = rh_local_all(sparse).values
+        nodes = [0, sparse.n - 1, int(np.argmax(reachability_table(sparse).ancestor_counts))]
+        for budget in RUN_BUDGETS.values():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(heterogeneity, "_run_budget", budget)
+                for v in nodes:
+                    assert rh_local(sparse, v) == values[v], v

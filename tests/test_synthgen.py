@@ -23,6 +23,7 @@ from schednet import (
     write_dependencies,
 )
 from schednet.network import ActivityNetwork
+from schednet.synthgen import MAX_DRAWS, draw_count
 
 
 QUIET = PropagationConfig(slack_days=0, clamp_negative=True)
@@ -110,6 +111,45 @@ class TestGenerateDag:
             GeneratorConfig(
                 layer_count=3, layer_width=3, edge_probability=0.5, base_duration_days=(0, 4)
             )
+
+
+class CountingRng:
+    """A seeded numpy Generator that counts the random numbers drawn from it."""
+
+    def __init__(self, seed, generator=np.random.default_rng):
+        self.rng, self.draws = generator(seed), 0
+
+    def random(self, size):
+        self.draws += int(np.prod(size))
+        return self.rng.random(size)
+
+    def integers(self, low, high, size):
+        self.draws += size
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(layer_count=5, layer_width=(3, 6, 2, 5, 4), skip_depth=2),
+        dict(layer_count=4, layer_width=5, skip_depth=9),
+        dict(layer_count=12, layer_width=8, skip_depth=3),
+        dict(layer_count=2, layer_width=(7, 1), skip_depth=1),
+    ],
+)
+def test_draw_count_is_what_the_generator_draws(config, monkeypatch):
+    rngs = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(CountingRng(seed)) or rngs[-1])
+    generate_dag(GeneratorConfig(edge_probability=0.5, **config))
+    assert rngs[0].draws == draw_count(config["layer_count"], config["layer_width"], config["skip_depth"])
+
+
+def test_config_over_the_draw_limit_is_refused_before_any_width_is_listed():
+    assert MAX_DRAWS == 100_000_000
+    GeneratorConfig(layer_count=2, layer_width=9999, edge_probability=0.5)  # 99,999,999 draws
+    for config in (dict(layer_count=2, layer_width=10_000), dict(layer_count=10**11, layer_width=4)):
+        with pytest.raises(ValueError, match="layer_count, layer_width and skip_depth ask for .* random draws"):
+            GeneratorConfig(edge_probability=0.5, **config)
 
 
 # sha256 of (activities.csv, dependencies.csv) as written for each shape, recorded
