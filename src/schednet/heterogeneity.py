@@ -31,6 +31,20 @@ local value equals ``rh_global`` of the rebuilt smaller network,
 subtracted from the base score, bit for bit. ``rh_local`` is one step of
 that sweep.
 
+The replaced rows come from runs of consecutive removed nodes. A run's
+cone rows fill at most max(n^2/8, ``_CHUNK``) bytes, or one cone's rows
+where a cone alone needs more, and its table of gather sources fills at
+most as many. Every pair (k, i) with i in anc(k) is computed in one
+pass over the run, in ascending height(i), the longest path from i to a
+sink: a successor is lower than its predecessor, so its row is final
+before the row that reads it. One height is a few numpy steps. They gather
+the successor rows of every pair at that height, as 64-bit words, from one
+buffer of the closed base rows, a zero row for the removed node and the
+run's rows, then OR each pair's rows with one ``reduceat``. The rows are
+exact sets, so they hold the same bits however the runs are cut. New
+descendant counts are their popcounts; new ancestor counts subtract the
+bits each cone row lost.
+
 The sweep also keeps y = R' @ w' of the last node and refreshes only the
 rows of it that can change. From k-1 to k, R' and w' change only in the
 rows of anc(k-1) and anc(k), at reduced position k-1, and in w' on
@@ -151,8 +165,8 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
     network rebuilt without node i, subtracted from the base score, bit for
     bit. No reduced matrix is held: the sweep keeps one packed copy of the
     closure rows, n^2/8 bytes, with the rows of the removed node's
-    ancestors replaced, one float64 block of rows to multiply, and the
-    last node's product ``R @ w``. Each node recomputes only the rows of
+    ancestors replaced, the cone rows of one run of removed nodes, one
+    float64 block of rows to multiply, and the last node's product ``R @ w``. Each node recomputes only the rows of
     that product that can have changed: a zero entry adds an exact +0.0 to
     a row's non-negative sum, so a row keeps its bits unless it is, or
     reaches, a node of T = {k-1, k} + desc(k-1) + desc(k), or lies in the
