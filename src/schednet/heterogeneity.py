@@ -190,7 +190,8 @@ _CHUNK = 1 << 16  # matrix entries per unpack step and per product block
 _GROUP = 8  # rows per aligned block unit of ``_product``
 _DOT = 10_000  # entries per piece of ``_dot``; OpenBLAS runs a dot this long on one thread
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit j & 7 of a packed byte
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # set bits per byte
+# set bits of each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 
 
 def _normalizer(n: int) -> float:
@@ -235,8 +236,9 @@ class _ReducedReach:
         self.height = _heights(network.successor_lists, self.order)
         budget, nbytes = _run_budget(n), self.rows.shape[1]
         # cone rows per run: as many as fill the budget, and at least the largest cone
-        self.capacity = max(1, int(table.ancestor_counts.max(initial=0)), min(budget // nbytes, table.pair_count))
-        self.span = max(1, min(n, budget // (4 * n)))  # removed nodes per run, so its int32 source table fits the budget
+        fill = min(budget // max(nbytes, 1), table.pair_count)
+        self.capacity = max(1, int(table.ancestor_counts.max(initial=0)), fill)
+        self.span = max(1, min(n, budget // (4 * max(n, 1))))  # removed nodes per run, so its int32 source table fits
         self.cumulative = np.concatenate(([0], np.cumsum(table.ancestor_counts)))
         # closed base rows, a zero row that stands for the removed node, then the run's cone rows;
         # rows are whole 64-bit words, so a gather and its OR move 8 bytes at a time
@@ -342,7 +344,7 @@ class _ReducedReach:
 
 
 def _run_budget(n: int) -> int:
-    """Bytes that a run's cone rows, and its table of gather sources, may each fill: the closure's n^2/8 or ``_CHUNK``."""
+    """Bytes a run's cone rows, and its table of gather sources, may each fill: n^2/8 or ``_CHUNK``."""
     return max(n * n // 8, _CHUNK)
 
 

@@ -415,6 +415,9 @@ class TestRhLocalAll:
         net = make_network("ab", [("a", "b")])
         assert list(rh_local_all(net).values) == [0.0, 0.0]
 
+    def test_empty_network(self):
+        assert rh_local_all(ActivityNetwork([], [])).values.size == 0
+
     def test_matches_naive_loop_exactly(self):
         rng = np.random.default_rng(73)
         for _ in range(60):
