@@ -16,8 +16,10 @@ import hashlib
 import json
 import logging
 import math
+import re
 import sys
 import warnings
+from dataclasses import fields
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -41,15 +43,7 @@ from .network import ActivityNetwork, Dependency, prune_isolated, weakly_connect
 from .performance import BIN_STATS, BinnedStats, DelayVector, bin_by_metric, end_delay, start_delay, suggest_bin_count
 from .reachability import ReachabilityTable, reachability_table, tail_distribution, tail_distribution_csv
 from .schedule_io import activities_csv, csv_text, dependencies_csv, load_network, network_to_json
-from .synthgen import (
-    MAX_DRAWS,
-    GeneratorConfig,
-    NoiseSpec,
-    PropagationConfig,
-    draw_count,
-    generate_dag,
-    simulate_delays,
-)
+from .synthgen import GeneratorConfig, NoiseSpec, PropagationConfig, generate_dag, simulate_delays
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +61,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = _log_warning
         try:
             return args.func(args)
-        except ScheduleParseError as exc:
-            return _fail(exc, EXIT_PARSE)
-        except (DuplicateActivityId, UnknownActivityId, SelfLoop) as exc:
+        except (ScheduleParseError, DuplicateActivityId, UnknownActivityId, SelfLoop, OSError) as exc:
             return _fail(exc, EXIT_PARSE)
         except CycleDetected as exc:
             return _fail(exc, EXIT_CYCLE)
@@ -77,8 +69,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _fail(exc, EXIT_EMPTY)
         except (NoValidDelays, InsufficientData, DegenerateConfig) as exc:
             return _fail(exc, EXIT_NODATA)
-        except OSError as exc:
-            return _fail(exc, EXIT_PARSE)
 
 
 def entry() -> None:
@@ -140,35 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cmd = command("generate", "write a synthetic schedule", cmd_generate)
-    cmd.add_argument("--seed", type=int, default=None, metavar="N", help="generator seed")
     cmd.add_argument("--config", metavar="FILE", help="generator config as JSON")
-    cmd.add_argument("--layers", type=int, default=8, help="layer count (default: 8)")
-    cmd.add_argument(
-        "--width",
-        default="4",
-        metavar="W|W1,W2,...",
-        help="nodes per layer, single value or comma list (default: 4)",
-    )
-    cmd.add_argument("--edge-prob", type=float, default=0.3, help="edge probability (default: 0.3)")
-    cmd.add_argument("--skip-depth", type=int, default=1, help="max layer distance for edges")
-    cmd.add_argument(
-        "--duration",
-        default="1,10",
-        metavar="LO,HI",
-        help="planned duration range in days (default: 1,10)",
-    )
-    cmd.add_argument(
-        "--noise",
-        default="none",
-        metavar="SPEC",
-        help="endogenous noise: none, uniform:LO,HI or two_point:P,DAYS",
-    )
-    cmd.add_argument("--slack", type=int, default=0, help="slack days absorbed per dependency")
-    cmd.add_argument(
-        "--no-clamp",
-        action="store_true",
-        help="allow activities to start before their planned date",
-    )
+    for key, parameter in GENERATE.items():
+        cmd.add_argument(parameter.flag, dest=key, **parameter.settings)
 
     return parser
 
@@ -237,26 +201,18 @@ def _cmd_subset(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        config, propagation, noise = _generator_setup(args)
+        values, config, propagation = _generator_setup(args)
     except (ValueError, TypeError) as exc:
         return _fail(exc, EXIT_PARSE)
+    noise = values["endogenous_noise"]
     network = simulate_delays(generate_dag(config), propagation, noise, config.seed)
     ids = network.node_ids
     texts = {
         "activities.csv": activities_csv(network.nodes),
         "dependencies.csv": dependencies_csv([Dependency(ids[s], ids[t]) for s, t in network.edges]),
     }
-    parameters = {
-        "layer_count": config.layer_count,
-        "layer_width": list(config.widths()),
-        "edge_probability": config.edge_probability,
-        "skip_depth": config.skip_depth,
-        "seed": config.seed,
-        "base_duration_days": list(config.base_duration_days),
-        "noise": str(noise),
-        "slack_days": propagation.slack_days,
-        "clamp_negative": propagation.clamp_negative,
-    }
+    # the values that ran, in the forms --config reads, so the manifest's parameters reproduce the run
+    parameters = {**values, "layer_width": config.widths(), "endogenous_noise": str(noise)}
     stats = {"nodes": network.n, "dependencies": len(network.edges)}
     manifest = _manifest("generate", {}, parameters, stats, {}, texts)
     out_dir = _save(args.out or "schednet_out", {**texts, "manifest.json": _json(manifest)})
@@ -267,74 +223,108 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- helpers
 
 
-def _generator_setup(args: argparse.Namespace) -> tuple[GeneratorConfig, PropagationConfig, NoiseSpec]:
-    raw: dict[str, Any] = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        for key, (forms, text, _) in CONFIG_FORMS.items():
-            value = raw.get(key)
+def _generator_setup(args: argparse.Namespace) -> tuple[dict[str, Any], GeneratorConfig, PropagationConfig]:
+    """Each parameter of ``GENERATE`` read once, from its ``--config`` key or else its flag; errors name which."""
+    raw = _config(args.config)
+    values: dict[str, Any] = {}
+    sources: dict[str, str] = {}
+    for key, parameter in GENERATE.items():
+        value, sources[key] = getattr(args, key), parameter.flag
+        if key in raw and not (key == "seed" and value is not None):  # a given --seed overrides the config's
+            value, sources[key] = raw[key], f"{args.config}: {key}"
             ints = type(value) is not list or all(type(item) is int for item in value)
-            if key in raw and not (type(value) in forms and ints):
-                raise ValueError(f"{args.config}: {key} must be {text}, got {json.dumps(value)}")
-
-    def given(key: str) -> tuple[Any, str]:
-        """The value of ``key`` and the name of where it came from: the config file's key or the flag."""
-        if key in raw:
-            return raw[key], f"{args.config}: {key}"
-        flag = CONFIG_FORMS[key][2]
-        return getattr(args, flag[2:].replace("-", "_")), flag
-
-    widths = _ints(*given("layer_width"))
-    lo_hi = _ints(*given("base_duration_days"))
-    if len(lo_hi) != 2:
-        value, name = given("base_duration_days")
-        raise ValueError(f"{name} must be two integers LO,HI, got {json.dumps(value)}")
-    (layer_count, count_name), (skip_depth, skip_name) = given("layer_count"), given("skip_depth")
-    layer_width = widths[0] if len(widths) == 1 else widths
-    if min(layer_count, skip_depth, *widths) >= 1:  # otherwise GeneratorConfig names the bad value
-        draws = draw_count(layer_count, layer_width, skip_depth)
-        if draws > MAX_DRAWS:
-            names = f"{count_name}, {given('layer_width')[1]} and {skip_name}"
-            raise ValueError(f"{names} ask for {draws:,} random draws, more than {MAX_DRAWS:,}")
-    noise = NoiseSpec.parse(raw.get("endogenous_noise", args.noise))
-    config = GeneratorConfig(
-        layer_count=layer_count,
-        layer_width=layer_width,
-        edge_probability=float(raw.get("edge_probability", args.edge_prob)),
-        skip_depth=skip_depth,
-        seed=args.seed if args.seed is not None else raw.get("seed", 0),
-        base_duration_days=lo_hi,
-    )
-    propagation = PropagationConfig(
-        slack_days=raw.get("slack_days", args.slack), clamp_negative=raw.get("clamp_negative", not args.no_clamp)
-    )
-    return config, propagation, noise
+            if not (type(value) in parameter.forms and ints):
+                raise ValueError(f"{sources[key]} must be {parameter.words}, got {json.dumps(value)}")
+        try:
+            values[key] = parameter.read(value)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{sources[key]}: {exc}") from None
+    try:
+        config = GeneratorConfig(**{field.name: values[field.name] for field in fields(GeneratorConfig)})
+        propagation = PropagationConfig(**{field.name: values[field.name] for field in fields(PropagationConfig)})
+    except ValueError as exc:  # the library names keys; name their sources instead
+        raise ValueError(_KEYS.sub(lambda key: sources[key[0]], str(exc))) from None
+    return values, config, propagation
 
 
-# The JSON types each ``generate --config`` key takes, the words an error names them by, and
-# the flag the key overrides. ``int`` never takes true or false, and a list holds integers only.
-CONFIG_FORMS: dict[str, tuple[tuple[type, ...], str, str]] = {
-    "layer_count": ((int,), "an integer", "--layers"),
-    "layer_width": ((int, str, list), 'an integer, "W1,W2,..." or a list of integers', "--width"),
-    "edge_probability": ((int, float), "a number", "--edge-prob"),
-    "skip_depth": ((int,), "an integer", "--skip-depth"),
-    "seed": ((int,), "an integer", "--seed"),
-    "base_duration_days": ((str, list), '"LO,HI" or a list of integers', "--duration"),
-    "endogenous_noise": ((str,), "a string", "--noise"),
-    "slack_days": ((int,), "an integer", "--slack"),
-    "clamp_negative": ((bool,), "true or false", "--no-clamp"),
-}
+def _config(path: str | None) -> dict[str, Any]:
+    """The ``--config`` file's JSON object, whose keys must all be keys of ``GENERATE``."""
+    if path is None:
+        return {}
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    for key in raw:
+        if key not in GENERATE:
+            raise ValueError(f"{path}: {key} is not a generate parameter; the keys are {', '.join(GENERATE)}")
+    return raw
 
 
-def _ints(value: Any, name: str) -> tuple[int, ...]:
-    """The integers of a JSON list or a comma-separated text; a ValueError names ``name``."""
+def _ints(value: Any) -> tuple[int, ...]:
+    """The integers of a JSON list or a comma-separated text."""
     parts = value if isinstance(value, list) else str(value).split(",")
     try:
         return tuple(int(part) for part in parts)
     except ValueError:
-        raise ValueError(f"{name} must be integers separated by commas, got {json.dumps(value)}") from None
+        raise ValueError(f"expected integers separated by commas, got {json.dumps(value)}") from None
+
+
+def _widths(value: Any) -> int | tuple[int, ...]:
+    widths = _ints(value)
+    return widths[0] if len(widths) == 1 else widths  # one width for every layer
+
+
+class _Parameter:
+    """A ``generate`` flag with its argparse ``settings``; ``read`` turns its value or its key's into the library's.
+
+    A key's value must have a JSON type in ``forms``, named by ``words`` in an error (``int`` never takes true or
+    false, and a list holds integers only).
+    """
+
+    def __init__(
+        self, flag: str, forms: tuple[type, ...], words: str, read: Callable[[Any], Any] | None = None, **settings: Any
+    ) -> None:
+        self.flag, self.forms, self.words, self.settings = flag, forms, words, settings
+        self.read = read or (lambda value: value)
+
+
+# The parameters of ``generate`` by ``--config`` key, which is also the flag's dest, the manifest's key
+# and the field name in ``GeneratorConfig`` or ``PropagationConfig``; --help lists them in this order.
+GENERATE = {
+    "seed": _Parameter(  # no default, so a given --seed can override the config's; neither given reads 0
+        "--seed", (int,), "an integer", lambda value: value or 0, type=int, metavar="N", help="generator seed"
+    ),
+    "layer_count": _Parameter("--layers", (int,), "an integer", type=int, default=8, help="layer count (default: 8)"),
+    "layer_width": _Parameter(
+        "--width", (int, str, list), 'an integer, "W1,W2,..." or a list of integers', _widths,
+        default="4", metavar="W|W1,W2,...", help="nodes per layer, single value or comma list (default: 4)",
+    ),
+    "edge_probability": _Parameter(
+        "--edge-prob", (int, float), "a number", float, type=float, default=0.3, help="edge probability (default: 0.3)"
+    ),
+    "skip_depth": _Parameter(
+        "--skip-depth", (int,), "an integer", type=int, default=1, help="max layer distance for edges"
+    ),
+    "base_duration_days": _Parameter(
+        "--duration", (str, list), '"LO,HI" or a list of integers', _ints,
+        default="1,10", metavar="LO,HI", help="planned duration range in days (default: 1,10)",
+    ),
+    "endogenous_noise": _Parameter(
+        "--noise", (str,), "a string", NoiseSpec.parse,
+        default="none", metavar="SPEC", help="endogenous noise: none, uniform:LO,HI or two_point:P,DAYS",
+    ),
+    "slack_days": _Parameter(
+        "--slack", (int,), "an integer", type=int, default=0, help="slack days absorbed per dependency"
+    ),
+    "clamp_negative": _Parameter(
+        "--no-clamp", (bool,), "true or false", action="store_false",
+        help="allow activities to start before their planned date",
+    ),
+}
+_KEYS = re.compile(r"\b(?:" + "|".join(GENERATE) + r")\b")  # the keys a library error may name
 
 
 class _Run:

@@ -20,16 +20,17 @@ Local RH never rebuilds the smaller network. Removing node k changes the
 reach matrix only in the rows of k's ancestors, which lose the paths
 through k, so the reduced matrix is the base closure with row and column
 k deleted and those rows recomputed. ``rh_local_all`` visits k = 0..n-1
-in one sweep that never holds the reduced matrix. It keeps one packed
-copy of the closure rows in which the rows of anc(k) are replaced; from
-k-1 to k it restores the rows of anc(k-1) and writes those of anc(k). A
-reduced row is its packed row unpacked without bit k, written straight
-into the float64 block that is multiplied. Descendant and ancestor counts
-come from exact integer deltas. ``rh_global`` and the sweep multiply
-their 0/1 rows through the same blocked product (``_product``), so every
-local value equals ``rh_global`` of the rebuilt smaller network,
-subtracted from the base score, bit for bit. ``rh_local`` is one step of
-that sweep.
+in one sweep that never holds the reduced matrix. It reads every row
+from one buffer: the closure rows, then the rows of anc(k) without paths
+through k. A table from node to buffer row points the nodes of anc(k) at
+their replaced rows; from k-1 to k it restores those of anc(k-1) and
+re-points those of anc(k). A reduced row is its buffer row unpacked
+without bit k, written straight into the float64 block that is
+multiplied. Descendant and ancestor counts come from exact integer
+deltas. ``rh_global`` and the sweep multiply their 0/1 rows through the
+same blocked product (``_product``), so every local value equals
+``rh_global`` of the rebuilt smaller network, subtracted from the base
+score, bit for bit. ``rh_local`` is one step of that sweep.
 
 The replaced rows come from runs of consecutive removed nodes. A run's
 cone rows fill at most max(n^2/8, ``_CHUNK``) bytes, or one cone's rows
@@ -39,11 +40,12 @@ pass over the run, in ascending height(i), the longest path from i to a
 sink: a successor is lower than its predecessor, so its row is final
 before the row that reads it. One height is a few numpy steps. They gather
 the successor rows of every pair at that height, as 64-bit words, from one
-buffer of the closed base rows, a zero row for the removed node and the
-run's rows, then OR each pair's rows with one ``reduceat``. The rows are
-exact sets, so they hold the same bits however the runs are cut. New
+buffer of the closure rows and the run's rows, with a zero row for the
+removed node, set each successor's own bit in its gathered copy (none for
+the removed node), then OR each pair's rows with one ``reduceat``. The rows
+are exact sets, so they hold the same bits however the runs are cut. New
 descendant counts are their popcounts; new ancestor counts subtract the
-bits each cone row lost.
+bits each cone row lost and the removed node's row.
 
 The sweep also keeps y = R' @ w' of the last node and refreshes only the
 rows of it that can change. From k-1 to k, R' and w' change only in the
@@ -140,7 +142,7 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
         return HeterogeneityScore(0.0, n, table.pair_count)
     d, a = table.descendant_counts, table.ancestor_counts
     inverse, y = _inverse_roots(n), np.empty(n, dtype=np.float64)
-    _product(y, table._rows, n, inverse[a], np.arange(_layout(n)[1]), _block(n))
+    _product(y, table._rows, np.arange(n), n, inverse[a], np.arange(_layout(n)[1]), _block(n))
     return HeterogeneityScore(_rh(_dot(inverse[d], y), d, a), n, table.pair_count)
 
 
@@ -163,10 +165,10 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
 
     Each entry equals ``rh_local(network, i)`` and ``rh_global`` of the
     network rebuilt without node i, subtracted from the base score, bit for
-    bit. No reduced matrix is held: the sweep keeps one packed copy of the
-    closure rows, n^2/8 bytes, with the rows of the removed node's
-    ancestors replaced, the cone rows of one run of removed nodes, one
-    float64 block of rows to multiply, and the last node's product ``R @ w``. Each node recomputes only the rows of
+    bit. No reduced matrix is held: the sweep keeps one buffer of the
+    closure rows, n^2/8 bytes, followed by the cone rows of one run
+    of removed nodes, one float64 block of rows to multiply, and the last
+    node's product ``R @ w``. Each node recomputes only the rows of
     that product that can have changed: a zero entry adds an exact +0.0 to
     a row's non-negative sum, so a row keeps its bits unless it is, or
     reaches, a node of T = {k-1, k} + desc(k-1) + desc(k), or lies in the
@@ -202,20 +204,19 @@ class _ReducedReach:
     """Reach matrix of a network with one node k removed, read from packed rows.
 
     Reduced row and column r stand for node r when r < k and for node r + 1
-    otherwise, as in the network rebuilt without k. ``work`` is the packed
-    closure with the rows of anc(k) replaced by their reach without paths
-    through k, and a reduced row is its ``work`` row unpacked without bit k.
-    ``y`` holds the reduced matrix's blocked product with the reduced
-    network's w. Moving to k + 1 only rewrites what changes, in both. The
-    replaced rows come from the run of removed nodes that holds k
-    (``_cone_run``).
+    otherwise, as in the network rebuilt without k. ``slot`` points each
+    node at its row in ``buffer``: its closure row, or for a node of
+    anc(k) its reach without paths through k, computed for the run of
+    removed nodes that holds k (``_cone_run``). A reduced row is that row
+    unpacked without bit k. ``y`` holds the reduced matrix's blocked product
+    with the reduced network's w. Moving to k + 1 only rewrites what
+    changes, in both.
     """
 
     def __init__(self, network: ActivityNetwork) -> None:
         self.n = n = network.n
         table = closure(network)
         self.table, self.rows = table, table._rows
-        self.work = self.rows.copy()
         self.order = np.array(topological_order(network), dtype=np.int64)
         self.rank = np.argsort(self.order)  # rank[order[r]] = r
         self.ancestors = _ancestor_rows(self.rows, self.order)
@@ -228,6 +229,7 @@ class _ReducedReach:
         self.partial = self.cut >= 4 * step and 16 * table.pair_count < n * n
         self.block = _block(size)
         self.removed: int | None = None
+        self.slot = np.arange(n)
         self.patched = np.empty(0, dtype=np.int64)
         # successors as CSR arrays (edges are sorted by source) and each node's height
         self.degree = network.out_degrees()
@@ -235,19 +237,16 @@ class _ReducedReach:
         self.targets = np.array([t for _, t in network.edges], dtype=np.int64)
         self.height = _heights(network.successor_lists, self.order)
         budget, nbytes = _run_budget(n), self.rows.shape[1]
-        # cone rows per run: as many as fill the budget, and at least the largest cone
-        fill = min(budget // max(nbytes, 1), table.pair_count)
-        self.capacity = max(1, int(table.ancestor_counts.max(initial=0)), fill)
+        # rows per run, one per node of each cone anc(k) + {k}: as many as fill the budget, at least the largest cone
+        fill = min(budget // max(nbytes, 1), table.pair_count + n)
+        self.capacity = max(1, int(table.ancestor_counts.max(initial=0)) + 1, fill)
         self.span = max(1, min(n, budget // (4 * max(n, 1))))  # removed nodes per run, so its int32 source table fits
-        self.cumulative = np.concatenate(([0], np.cumsum(table.ancestor_counts)))
-        # closed base rows, a zero row that stands for the removed node, then the run's cone rows;
+        self.cumulative = np.concatenate(([0], np.cumsum(table.ancestor_counts + 1)))
+        # closure rows, then the run's cone rows, where the row of each removed node k is a zero row;
         # rows are whole 64-bit words, so a gather and its OR move 8 bytes at a time
-        self.buffer = np.zeros((n + 1 + self.capacity, -(-nbytes // 8)), dtype=np.uint64)
+        self.buffer = np.zeros((n + self.capacity, -(-nbytes // 8)), dtype=np.uint64)
         self.bytes = self.buffer.view(np.uint8)[:, :nbytes]
         self.bytes[:n] = self.rows
-        nodes = np.arange(n)
-        self.bytes[nodes, nodes >> 3] |= _BIT[nodes & 7]
-        self.lost = np.empty((self.capacity + self.span, nbytes), dtype=np.uint8)
         self.run = range(0)
 
     def value_without(self, k: int) -> float:
@@ -256,22 +255,22 @@ class _ReducedReach:
             self._cone_run(k)
         follows = k > 0 and self.removed == k - 1
         lo, hi = self.bounds[k - self.run.start], self.bounds[k - self.run.start + 1]
-        cone, reduced = self.cone[lo:hi], self.bytes[self.n + 1 + lo:self.n + 1 + hi]
-        self.work[self.patched] = self.rows[self.patched]
-        self.work[cone] = reduced
+        cone, reduced = self.cone[lo:hi], self.bytes[self.n + lo:self.n + hi]
+        self.slot[self.patched] = self.patched
+        self.slot[cone] = np.arange(self.n + lo, self.n + hi)  # k's own row is never read
         self.removed, self.patched = k, cone
         d = self.table.descendant_counts.copy()
         d[cone] = self.counts[lo:hi]
-        # Ancestor counts lose k's descendants and every pair a cone row no
-        # longer reaches; the reduced rows are subsets of the base rows.
-        lost = self.lost[lo + k - self.run.start:hi + k - self.run.start + 1]
+        # Ancestor counts lose every pair a row of the cone no longer reaches:
+        # its closure row without its reduced row, all of row k.
         a = self.table.ancestor_counts.copy()
         step = max(1, _CHUNK // self.n)
-        for start in range(0, len(lost), step):
-            a -= _bits(lost[start:start + step], self.n).sum(axis=0, dtype=np.int64)
+        for start in range(0, hi - lo, step):
+            lost = _bits(self.rows[cone[start:start + step]] ^ reduced[start:start + step], self.n)
+            a -= np.add.reduce(lost, axis=0, dtype=np.int64)  # not .sum, which costs a few us more a call
         d, a = _without(d, k), _without(a, k)
         rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
-        _product(self.y, self.work, k, self.inverse[a], rows, self.block)
+        _product(self.y, self.bytes, self.slot, k, self.inverse[a], rows, self.block)
         return _rh(_dot(self.inverse[d], self.y), d, a)
 
     def _cone_run(self, k0: int) -> None:
@@ -280,55 +279,55 @@ class _ReducedReach:
         The run takes nodes k0, k0 + 1, ... while their cones fit
         ``capacity`` rows and they number at most ``span``; it always takes
         k0. Its pairs (k, i) go through in ascending height(i), one level at
-        a time, so every successor j of i is lower and its row final. The
-        closed row (k, i) is bit i ORed with row (k, j) for j in anc(k), with
-        the zero row for j = k and with j's closed base row otherwise, all
-        gathered from ``buffer`` through the run's table of sources and
-        reduced per pair. A gather holds at most ``capacity`` rows and one
-        node's successors. The rows end as the pairs' reduced rows, without
-        bit i, and ``counts`` as their sizes.
+        a time, so every successor j of i is lower and its row final. Row
+        (k, i) ORs, over the successors j of i, bit j with row (k, j) for j
+        in anc(k) and with j's closure row otherwise, and takes nothing from
+        j = k. The rows are gathered from ``buffer`` through the run's table
+        of sources, with the zero row of (k, k) for k, and reduced per pair.
+        A gather holds at most ``capacity`` rows and one node's successors.
+        ``counts`` ends as the sizes of the rows.
         """
         n, buffer = self.n, self.buffer
         k1 = int(np.searchsorted(self.cumulative, self.cumulative[k0] + self.capacity, "right")) - 1
         k1 = max(k0 + 1, min(k1, k0 + self.span))
-        # pair keys (k - k0) * n + rank(i), ascending: by k, then in topological order
+        # keys (k - k0) * n + rank(i) of the pairs (k, i), i in anc(k) or i = k, ascending: by k,
+        # then in topological order, so k closes its cone
         step = max(1, _CHUNK // n)
-        keys = np.concatenate(
-            [np.flatnonzero(_bits(self.ancestors[s:min(s + step, k1)], n)) + (s - k0) * n for s in range(k0, k1, step)]
-        )
+        keys = []
+        for s in range(k0, k1, step):
+            member = _bits(self.ancestors[s:min(s + step, k1)], n)
+            member[np.arange(len(member)), self.rank[s:s + len(member)]] = 1
+            keys.append(np.flatnonzero(member) + (s - k0) * n)
+        keys = np.concatenate(keys)
         self.run, self.bounds = range(k0, k1), (self.cumulative[k0:k1 + 1] - self.cumulative[k0]).tolist()
         self.cone = cone = self.order[keys % n]
         owner = keys - keys % n  # (k - k0) * n
-        # the buffer row that stands for node j while k is removed sits at slot (k - k0) * n + j
-        slot = np.tile(np.arange(n, dtype=np.int32), k1 - k0)
-        slot[owner + cone] = n + 1 + np.arange(len(keys))
-        slot[np.arange(k1 - k0) * n + np.arange(k0, k1)] = n
-        rows = self.bytes[n + 1:n + 1 + len(keys)]
-        rows[:] = 0
-        rows[np.arange(len(keys)), cone >> 3] = _BIT[cone & 7]
-        pairs = np.argsort(self.height[cone], kind="stable")
+        # the buffer row that stands for node j while k is removed sits at stand_in[(k - k0) * n + j]
+        stand_in = np.tile(np.arange(n, dtype=np.int32), k1 - k0)
+        stand_in[owner + cone] = n + np.arange(len(keys))
+        self.bytes[n:n + len(keys)] = 0
+        zero = np.zeros(n + len(keys), dtype=bool)  # the rows of the pairs (k, k), which stay zero
+        zero[n:] = cone == owner // n + k0
+        pairs = np.flatnonzero(~zero[n:])
+        pairs = pairs[np.argsort(self.height[cone[pairs]], kind="stable")]
         degree = self.degree[cone[pairs]]
         ends = np.cumsum(degree)
         starts = ends - degree
         targets = self.targets[np.repeat(self.first[cone[pairs]] - starts, degree) + np.arange(degree.sum())]
-        source = slot[np.repeat(owner[pairs], degree) + targets]
+        source = stand_in[np.repeat(owner[pairs], degree) + targets]
+        bit = _BIT[targets & 7] * ~zero[source]  # each successor's own bit, but not the removed node's
         # a step is one level's pairs whose edges start in one stretch of ``capacity``
         steps = self.height[cone[pairs]] * len(source) + starts // self.capacity
         cuts = [*np.flatnonzero(np.diff(steps, prepend=-1)).tolist(), len(pairs)]
         for lo, hi in zip(cuts, cuts[1:]):
-            buffer[n + 1 + pairs[lo:hi]] |= np.bitwise_or.reduceat(
-                buffer[source[starts[lo]:ends[hi - 1]]], starts[lo:hi] - starts[lo]
-            )
-        del slot, source
-        lost = self.rows[cone]
-        rows &= lost  # the closed rows without their own bit
-        self.counts = np.empty(len(keys), dtype=np.int64)
-        for s in range(0, len(keys), step):
-            self.counts[s:s + step] = np.take(_POPCOUNT, rows[s:s + step]).sum(axis=1, dtype=np.int64)
-        lost ^= rows
-        # the bits each k takes from the ancestor counts: row k, then the bits its cone rows lost
-        self.lost[np.arange(len(keys)) + keys // n + 1] = lost
-        self.lost[self.cumulative[k0:k1] - self.cumulative[k0] + np.arange(k1 - k0)] = self.rows[k0:k1]
+            edges = slice(starts[lo], ends[hi - 1])
+            gathered = buffer[source[edges]]
+            gathered.view(np.uint8)[np.arange(len(gathered)), targets[edges] >> 3] |= bit[edges]
+            buffer[n + pairs[lo:hi]] |= np.bitwise_or.reduceat(gathered, starts[lo:hi] - starts[lo])
+        rows = self.bytes[n:n + len(keys)]
+        self.counts = np.concatenate(
+            [np.take(_POPCOUNT, rows[s:s + step]).sum(axis=1, dtype=np.int64) for s in range(0, len(keys), step)]
+        )
 
     def _dirty(self, k: int) -> np.ndarray:
         """Reduced rows below the cut whose product can differ from node k-1's.
@@ -387,12 +386,14 @@ def _block(n: int) -> np.ndarray:
     return np.empty((min(_layout(n)[0] + 1, n), n), dtype=np.float64)
 
 
-def _product(y: np.ndarray, packed: np.ndarray, k: int, w: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
+def _product(
+    y: np.ndarray, packed: np.ndarray, slot: np.ndarray, k: int, w: np.ndarray, rows: np.ndarray, block: np.ndarray
+) -> None:
     """Set ``y`` to ``R @ w`` at ``rows`` and at every row of the last block, in small row blocks.
 
-    R is the square 0/1 matrix of the rows ``packed`` without row and
-    column ``k``: the closure without node k, or all of it when ``k`` is
-    its node count. ``block`` is scratch from ``_block``. ``rows`` are sorted
+    R is the square 0/1 matrix of the rows ``packed[slot]`` without row
+    and column ``k``: the closure without node k, or all of it when ``k``
+    is its node count. ``block`` is scratch from ``_block``. ``rows`` are sorted
     rows below the cut of ``_layout``; ``rh_global`` passes all of them. Every row
     gets the bits of the whole-matrix product under one BLAS thread, at
     one and at two threads. OpenBLAS dgemv works on groups of rows and
@@ -413,17 +414,17 @@ def _product(y: np.ndarray, packed: np.ndarray, k: int, w: np.ndarray, rows: np.
     for start in range(0, len(rows), step):
         at = rows[start:start + step]
         padded = block[:-(-len(at) // _GROUP) * _GROUP]
-        _put(packed, k, at, padded[:len(at)])
+        _put(packed, slot, k, at, padded[:len(at)])
         padded[len(at):] = 0.0
         y[at] = (padded @ w)[:len(at)]
     last = block[:n - cut]
-    _put(packed, k, np.arange(cut, n), last)
+    _put(packed, slot, k, np.arange(cut, n), last)
     y[cut:] = last @ w
 
 
-def _put(packed: np.ndarray, k: int, at: np.ndarray, out: np.ndarray) -> None:
-    """Write rows ``at`` of ``_product``'s R as 0/1 floats: packed row r, or r + 1 from k on, without bit k."""
-    reach = _bits(packed[at + (at >= k)], len(packed))
+def _put(packed: np.ndarray, slot: np.ndarray, k: int, at: np.ndarray, out: np.ndarray) -> None:
+    """Write rows ``at`` of ``_product``'s R as 0/1 floats: node r's row, or r + 1's from k on, without bit k."""
+    reach = _bits(packed[slot[at + (at >= k)]], len(slot))
     out[:, :k] = reach[:, :k]
     out[:, k:] = reach[:, k + 1:]
 

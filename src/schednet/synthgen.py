@@ -74,11 +74,14 @@ class NoiseSpec:
         if kind == "none":
             return cls.none()
         parts = [p.strip() for p in rest.split(",")]
-        if kind == "uniform" and len(parts) == 2:
-            return cls.uniform(int(parts[0]), int(parts[1]))
-        if kind == "two_point" and len(parts) == 2:
-            return cls.two_point(float(parts[0]), int(parts[1]))
-        raise ValueError(f"cannot parse noise spec {text!r}")
+        if kind in ("uniform", "two_point") and len(parts) == 2:
+            try:
+                first, second = (int if kind == "uniform" else float)(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                return cls.uniform(first, second) if kind == "uniform" else cls.two_point(first, second)
+        raise ValueError(f"cannot parse noise spec {text!r}: expected none, uniform:LO,HI or two_point:P,DAYS")
 
     def __str__(self) -> str:
         """The spec in the form :meth:`parse` reads."""
@@ -123,7 +126,7 @@ class GeneratorConfig:
         else:
             shaped = len(self.layer_width) == self.layer_count and all(w >= 1 for w in self.layer_width)
         if not shaped:
-            raise ValueError("layer widths must be positive, one per layer")
+            raise ValueError("layer_width must hold one positive width per layer")
         draws = draw_count(self.layer_count, self.layer_width, self.skip_depth)
         if draws > MAX_DRAWS:
             raise ValueError(
@@ -133,6 +136,8 @@ class GeneratorConfig:
             raise ValueError("edge_probability must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if len(self.base_duration_days) != 2:
+            raise ValueError(f"base_duration_days must be two integers LO,HI, got {list(self.base_duration_days)}")
         lo, hi = self.base_duration_days
         if lo < 1 or hi < lo:
             raise ValueError("base_duration_days must be a positive (low, high) range")

@@ -98,7 +98,7 @@ def streamed(rows, w):
     """Digest of ``R @ w`` by the library's blocked product of every row, from packed rows R."""
     n = len(w)
     y = np.empty(n)
-    _product(y, rows, n, w, np.arange(_layout(n)[1]), _block(n))
+    _product(y, rows, np.arange(n), n, w, np.arange(_layout(n)[1]), _block(n))
     return _digest(y)
 
 

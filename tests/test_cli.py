@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import heapq
@@ -11,11 +12,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schednet.cli
 import schednet.heterogeneity
@@ -768,4 +772,117 @@ class TestGenerate:
         out = tmp_path / "gen"
         assert main(["generate", "--layers", "4", "--noise", spec, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert NoiseSpec.parse(manifest["parameters"]["noise"]) == NoiseSpec.parse(spec)
+        assert NoiseSpec.parse(manifest["parameters"]["endogenous_noise"]) == NoiseSpec.parse(spec)
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--layers", "12", "--width", "6", "--edge-prob", "0.2", "--skip-depth", "3", "--seed", "42",
+              "--noise", "two_point:0.2,8"], None),  # the README's example
+            ([], None),
+            (["--layers", "3", "--width", "3,4,5"], None),
+            (["--noise", "two_point:0.3,5", "--seed", "4"], None),
+            (["--noise", "uniform:-2,3", "--slack", "2", "--no-clamp"], None),
+            ([], {"layer_count": 3, "layer_width": [2, 3, 2], "base_duration_days": [2, 4], "edge_probability": 1}),
+        ],
+    )
+    def test_the_manifest_parameters_fed_back_as_config_write_the_same_bytes(self, tmp_path, flags, config):
+        if config is not None:
+            (tmp_path / "first.json").write_text(json.dumps(config), encoding="utf-8")
+            flags = ["--config", str(tmp_path / "first.json")]
+        assert main(["generate", *flags, "--out", str(tmp_path / "run")]) == 0
+        parameters = json.loads((tmp_path / "run" / "manifest.json").read_text())["parameters"]
+        (tmp_path / "config.json").write_text(json.dumps(parameters), encoding="utf-8")
+        assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "again")]) == 0
+        for name in ("activities.csv", "dependencies.csv", "manifest.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "flag, text, value",
+        [
+            ("--noise", "uniform:nan,inf", "uniform:nan,inf"),
+            ("--noise", "bogus", "bogus"),
+            ("--noise", "uniform:3,1", "uniform:3,1"),
+            ("--noise", "two_point:2,5", "two_point:2,5"),
+            ("--noise", "two_point:x,5", "two_point:x,5"),
+            ("--layers", "0", 0),
+            ("--edge-prob", "2", 2),
+            ("--slack", "-1", -1),
+            ("--seed", "-1", -1),
+            ("--skip-depth", "0", 0),
+            ("--width", "0", 0),
+            ("--width", "2,3", "2,3"),
+            ("--duration", "5,1", [5, 1]),
+        ],
+    )
+    def test_every_bad_value_names_its_flag_or_key(self, tmp_path, capsys, flag, text, value, as_config):
+        (key,) = [key for key, parameter in schednet.cli.GENERATE.items() if parameter.flag == flag]
+        argv, source = [f"{flag}={text}"], flag
+        if as_config:
+            (tmp_path / "config.json").write_text(json.dumps({key: value}), encoding="utf-8")
+            argv, source = ["--config", str(tmp_path / "config.json")], f"{tmp_path / 'config.json'}: {key}"
+        assert main(["generate", *argv, "--out", str(tmp_path / "gen")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source} ") or err.startswith(f"error: {source}: "), err
+        assert not (tmp_path / "gen").exists()
+
+    def test_an_unknown_config_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"layer_count": 4, "unknown": 1}), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: unknown is not a generate parameter")
+        assert not (tmp_path / "gen").exists()
+
+
+# Values of generate's parameters, by config key. Layer counts and widths stay at 8 or below,
+# or go past the draw limit, so no run draws more than a few thousand numbers.
+GOOD_VALUES = {
+    "seed": st.integers(0, 2**40),
+    "layer_count": st.integers(1, 8),
+    "layer_width": st.integers(1, 8),
+    "edge_probability": st.floats(0.05, 1.0),
+    "skip_depth": st.integers(1, 9),
+    "base_duration_days": st.tuples(st.integers(1, 4), st.integers(4, 9)).map("{0[0]},{0[1]}".format),
+    "endogenous_noise": st.sampled_from(["none", "uniform:-2,3", "two_point:0.3,5"]),
+    "slack_days": st.integers(0, 5),
+}
+BAD_VALUES = {
+    "seed": st.just(-1),
+    "layer_count": st.sampled_from([-1, 0, 10**11]),
+    "layer_width": st.sampled_from([0, 2**70, "2,3", "3,,2", "", "1e3"]),
+    "edge_probability": st.sampled_from([0, 1.5, -0.5, math.inf, math.nan]),
+    "skip_depth": st.sampled_from([0, -2]),
+    "base_duration_days": st.sampled_from(["5,1", "1", "1,2,3", "0,4", "a,b"]),
+    "endogenous_noise": st.sampled_from(["uniform:3,1", "two_point:2,5", "uniform:nan,inf"]) | st.text(max_size=12),
+    "slack_days": st.just(-1),
+}
+# config values of the wrong JSON type, also the values of a key that is no parameter
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(-2, 10), st.text(max_size=6), st.lists(st.integers(-2, 8), max_size=4)
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data())
+def test_generate_exits_with_a_documented_code_and_names_every_error(data):
+    flags = data.draw(st.fixed_dictionaries({}, optional=GOOD_VALUES))
+    config = data.draw(st.none() | st.fixed_dictionaries({}, optional={**GOOD_VALUES, "clamp_negative": st.booleans()}))
+    if data.draw(st.booleans()):  # one bad value, as a flag or in the config
+        key = data.draw(st.sampled_from(sorted(BAD_VALUES) + ["unknown"]))
+        if config is not None and data.draw(st.booleans()):
+            config[key] = data.draw(BAD_VALUES.get(key, ODD_VALUES) | ODD_VALUES)
+        elif key != "unknown":
+            flags[key] = data.draw(BAD_VALUES[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["generate", "--out", f"{tmp}/gen", *(f"{schednet.cli.GENERATE[k].flag}={v}" for k, v in flags.items())]
+        argv += ["--no-clamp"] if data.draw(st.booleans()) else []
+        if config is not None:
+            Path(tmp, "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", f"{tmp}/config.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 5)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()

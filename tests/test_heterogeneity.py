@@ -513,10 +513,10 @@ class TestPartialRefresh:
         cut = heterogeneity._layout(c7.n - 1)[1]
         real, refreshed = heterogeneity._product, []
 
-        def counting(y, packed, k, w, rows, block):
+        def counting(y, packed, slot, k, w, rows, block):
             if len(y) == c7.n - 1:  # the sweep's products, not rh_global's
                 refreshed.append(len(rows) + len(y) - cut)  # the last block is taken whole
-            real(y, packed, k, w, rows, block)
+            real(y, packed, slot, k, w, rows, block)
 
         monkeypatch.setattr(heterogeneity, "_product", counting)
         rh_local_all(c7)
@@ -562,7 +562,8 @@ class TestConeRuns:
                 rebuilt = reachability_table(without_node(net, k))._rows
                 for i in range(net.n):
                     if i != k:
-                        row = np.delete(np.unpackbits(reduced.work[i], count=net.n, bitorder="little"), k)
+                        reach = reduced.bytes[reduced.slot[i]]
+                        row = np.delete(np.unpackbits(reach, count=net.n, bitorder="little"), k)
                         expected = np.unpackbits(rebuilt[i - (i > k)], count=net.n - 1, bitorder="little")
                         assert row.tolist() == expected.tolist(), (k, i)
 
