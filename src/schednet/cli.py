@@ -20,6 +20,7 @@ import re
 import sys
 import warnings
 from dataclasses import fields
+from datetime import date
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -201,11 +202,16 @@ def _cmd_subset(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        values, config, propagation = _generator_setup(args)
+        values, sources, config, propagation = _generator_setup(args)
     except (ValueError, TypeError) as exc:
         return _fail(exc, EXIT_PARSE)
     noise = values["endogenous_noise"]
-    network = simulate_delays(generate_dag(config), propagation, noise, config.seed)
+    planned = generate_dag(config)
+    try:
+        network = simulate_delays(planned, propagation, noise, config.seed)
+    except OverflowError:  # the planned dates fit the calendar (``GeneratorConfig``), so the delays left it
+        message = f"{sources['endogenous_noise']}: {noise} delays actual dates past {date.max}"
+        return _fail(ValueError(message), EXIT_PARSE)
     ids = network.node_ids
     texts = {
         "activities.csv": activities_csv(network.nodes),
@@ -223,8 +229,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- helpers
 
 
-def _generator_setup(args: argparse.Namespace) -> tuple[dict[str, Any], GeneratorConfig, PropagationConfig]:
-    """Each parameter of ``GENERATE`` read once, from its ``--config`` key or else its flag; errors name which."""
+def _generator_setup(
+    args: argparse.Namespace,
+) -> tuple[dict[str, Any], dict[str, str], GeneratorConfig, PropagationConfig]:
+    """Each parameter of ``GENERATE`` read once, from its ``--config`` key or else its flag, and that source.
+
+    Errors name the source.
+    """
     raw = _config(args.config)
     values: dict[str, Any] = {}
     sources: dict[str, str] = {}
@@ -244,7 +255,7 @@ def _generator_setup(args: argparse.Namespace) -> tuple[dict[str, Any], Generato
         propagation = PropagationConfig(**{field.name: values[field.name] for field in fields(PropagationConfig)})
     except ValueError as exc:  # the library names keys; name their sources instead
         raise ValueError(_KEYS.sub(lambda key: sources[key[0]], str(exc))) from None
-    return values, config, propagation
+    return values, sources, config, propagation
 
 
 def _config(path: str | None) -> dict[str, Any]:
@@ -367,6 +378,13 @@ class _Run:
         return reachability_table(self.network)
 
     @cached_property
+    def rh_rows(self) -> list[tuple[str, float]]:
+        """(id, local RH) by descending value, ties by id."""
+        nodes, values = self.network.nodes, rh_local_all(self.network).values
+        order = sorted(range(len(nodes)), key=lambda i: (-values[i], nodes[i].id))
+        return [(nodes[i].id, float(values[i])) for i in order]
+
+    @cached_property
     def suite(self) -> list[MetricVector]:
         return metric_suite(self.network)
 
@@ -428,13 +446,6 @@ def _manifest(
     }
 
 
-def _rh_rows(run: _Run) -> list[tuple[str, float]]:
-    """(id, local RH) by descending value, ties by id."""
-    nodes, values = run.network.nodes, rh_local_all(run.network).values
-    order = sorted(range(len(nodes)), key=lambda i: (-values[i], nodes[i].id))
-    return [(nodes[i].id, float(values[i])) for i in order]
-
-
 def _metrics_csv(network: ActivityNetwork, suite: list[MetricVector]) -> str:
     rows = ([rec.id, *(vector.values[i] for vector in suite)] for i, rec in enumerate(network.nodes))
     return _csv("id," + ",".join(vector.name for vector in suite), rows)
@@ -476,10 +487,10 @@ ARTIFACTS: dict[str, Callable[[_Run], str]] = {
     "rh.json": lambda run: _json(
         {
             "global": rh_local_all(run.network).global_score.value,
-            "local": [{"id": node_id, "value": value} for node_id, value in _rh_rows(run)],
+            "local": [{"id": node_id, "value": value} for node_id, value in run.rh_rows],
         }
     ),
-    "rh.csv": lambda run: _csv("id,local_rh", _rh_rows(run)),
+    "rh.csv": lambda run: _csv("id,local_rh", run.rh_rows),
     "metrics.csv": lambda run: _metrics_csv(run.network, run.suite),
     "bins.csv": lambda run: _csv(
         "bin_lo,bin_hi,count," + ",".join(BIN_STATS), (row.values() for row in _bin_rows(run))

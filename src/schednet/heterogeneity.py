@@ -65,6 +65,30 @@ there most rows change anyway, or the product costs less than finding
 the rows. On the acceptance-c7 network a node refreshes about 13% of
 them.
 
+On a network of more than ``_SPLIT_NODES`` nodes, ``rh_local_all``
+splits the sweep into contiguous ranges of removed nodes, one per CPU the
+process may run on (``os.sched_getaffinity``, so Linux only). It builds
+the sweep state once, then forks a child for every range but the first,
+which it sweeps itself; each process starts its range from its
+copy-on-write copy of that state. A range's first node refreshes every
+row of ``R @ w`` and starts a new run, and the rows of a run are exact
+sets, so every value keeps the bits of the one-process sweep at any
+number of processes. Children copy their values into an anonymous shared
+mapping and end in ``os._exit``; the parent reaps each one and sweeps
+the range of any child that failed. The split uses ``os.fork`` and not a
+``multiprocessing`` pool because a pool costs more than it saves: on a
+2-vCPU VM a spawn pool of one worker took 0.375 s to start, more than
+the whole sweep of the 1208-node acceptance-c7 network, a forkserver
+pool 0.27 s and a fork pool 13 ms, where an ``os.fork`` round trip took
+2.7 ms. Threads ran slower than one process (0.356 to 0.424 s on c7),
+since the sweep holds the interpreter lock for most of its steps. A fork
+copies only the calling thread, so the sweep forks only when no other
+Python thread runs; OpenBLAS stops its own worker threads in an at-fork
+handler and starts them again at its next call. Below the threshold the
+fork, the page copies it causes and the wake-up of the second CPU cost
+more than half a sweep saves: at n=96 a split took 11-16 ms against
+5.6 ms in one process.
+
 The float contract of every RH value is the bits of ``u @ (R @ w)`` with
 ``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread
 and the final dot taken in order over pieces of at most 10,000 entries
@@ -79,6 +103,10 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,21 +201,24 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
     a row's non-negative sum, so a row keeps its bits unless it is, or
     reaches, a node of T = {k-1, k} + desc(k-1) + desc(k), or lies in the
     last product block (see the module docstring for the refresh rule).
+    On a network of more than ``_SPLIT_NODES`` nodes the sweep is split
+    between processes, one per CPU, with the same values to the bit (see
+    the module docstring).
 
     The first call keeps the vector on the network, as ``closure`` keeps
     the closure, and later calls return that same object.
     """
     if network._local is None:
         base = rh_global(network)
-        reduced = _ReducedReach(network)
-        values = np.empty(network.n, dtype=np.float64)
-        for node in range(network.n):
-            values[node] = base.value - reduced.value_without(node)
+        workers = _workers(network.n)
+        cuts = [network.n * w // workers for w in range(workers + 1)]
+        values = _sweep(_ReducedReach(network), base.value, cuts)
         values.setflags(write=False)
         network._local = LocalRHVector(values, base)
     return network._local
 
 
+_SPLIT_NODES = 400  # networks with more nodes split the local-RH sweep between processes (measured)
 _CHUNK = 1 << 16  # matrix entries per unpack step and per product block
 _GROUP = 8  # rows per aligned block unit of ``_product``
 _DOT = 10_000  # entries per piece of ``_dot``; OpenBLAS runs a dot this long on one thread
@@ -198,6 +229,75 @@ _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(a
 
 def _normalizer(n: int) -> float:
     return n - 2.0 * math.sqrt(n - 1)
+
+
+def _workers(n: int) -> int:
+    """Processes that sweep n nodes: one per CPU this process may run on, or one (see the module docstring)."""
+    if n <= _SPLIT_NODES or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:  # a child gets only this thread, and a lock another one held stays held
+        return 1
+    return min(len(os.sched_getaffinity(0)), n)
+
+
+def _sweep(reduced: _ReducedReach, base: float, cuts: list[int]) -> np.ndarray:
+    """``base`` minus the RH without each node, nodes ``cuts[w]`` to ``cuts[w + 1] - 1`` swept by process w.
+
+    This process sweeps the first range and forks a child for each other
+    one. A child leaves its values in an anonymous shared mapping and ends
+    in ``os._exit``. Every child is reaped here; the range of a child that
+    could not start or did not exit 0 is swept here. If this process
+    raises, it kills and reaps the children it still has.
+    """
+    values = np.empty(cuts[-1], dtype=np.float64)
+    ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if len(ranges) == 1:
+        _fill(values, reduced, base, ranges[0])
+        return values
+    left, children = [], {}
+    with mmap.mmap(-1, 8 * len(values)) as shared:
+        try:
+            for nodes in ranges[1:]:
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare
+                    left.append(nodes)
+                    continue
+                if pid == 0:
+                    _child(values, reduced, base, nodes, shared)
+                children[pid] = nodes
+            _fill(values, reduced, base, ranges[0])
+            for pid in list(children):
+                status = os.waitpid(pid, 0)[1]
+                nodes = children.pop(pid)
+                if os.waitstatus_to_exitcode(status) == 0:
+                    values[nodes.start:nodes.stop] = np.frombuffer(shared[8 * nodes.start:8 * nodes.stop])
+                else:
+                    left.append(nodes)
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            for pid in children:
+                os.waitpid(pid, 0)
+    for nodes in left:
+        _fill(values, reduced, base, nodes)
+    return values
+
+
+def _child(values: np.ndarray, reduced: _ReducedReach, base: float, nodes: range, shared: mmap.mmap) -> None:
+    """Sweep ``nodes`` in a forked child, copy their values into ``shared`` and end the process."""
+    code = 1
+    try:
+        _fill(values, reduced, base, nodes)
+        shared[8 * nodes.start:8 * nodes.stop] = values[nodes.start:nodes.stop].tobytes()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fill(values: np.ndarray, reduced: _ReducedReach, base: float, nodes: range) -> None:
+    for node in nodes:
+        values[node] = base - reduced.value_without(node)
 
 
 class _ReducedReach:

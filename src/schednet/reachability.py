@@ -75,8 +75,12 @@ def closure(network: ActivityNetwork) -> ReachabilityTable:
             counts[-1].setflags(write=False)
         a, d = counts
         nbytes = (n + 7) // 8
-        packed = b"".join(bits.to_bytes(nbytes, "little") for bits in reach)
-        rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes)
+        rows = np.empty((n, nbytes), dtype=np.uint8)
+        with rows.reshape(-1).data as flat:
+            for i in range(n):
+                flat[i * nbytes:(i + 1) * nbytes] = reach[i].to_bytes(nbytes, "little")
+                reach[i] = 0  # freed once written, so the bitsets and the rows overlap less
+        rows.setflags(write=False)
         network._closure = ReachabilityTable(d, a, int(d.sum()), rows)
     return network._closure
 

@@ -29,6 +29,8 @@ from .errors import DegenerateConfig, EmptyNetwork
 from .network import ActivityNetwork, ActivityRecord, Dependency, build_network, prune_isolated, topological_order
 
 EPOCH = date(2021, 1, 4)
+# Days a date may move from ``EPOCH`` and stay in the calendar; every day count drawn fits int64.
+DAYS_BEFORE, DAYS_AFTER = (EPOCH - date.min).days, (date.max - EPOCH).days
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ class NoiseSpec:
             raise ValueError("uniform noise needs low <= high")
         if self.kind == "two_point" and not 0.0 <= self.probability <= 1.0:
             raise ValueError("two_point probability must lie in [0, 1]")
+        if not all(-DAYS_BEFORE <= days <= DAYS_AFTER for days in (self.low, self.high, self.days)):
+            raise ValueError(f"noise days must lie in [-{DAYS_BEFORE:,}, {DAYS_AFTER:,}], the calendar around {EPOCH}")
 
     @classmethod
     def none(cls) -> NoiseSpec:
@@ -141,6 +145,11 @@ class GeneratorConfig:
         lo, hi = self.base_duration_days
         if lo < 1 or hi < lo:
             raise ValueError("base_duration_days must be a positive (low, high) range")
+        if hi * self.layer_count > DAYS_AFTER:  # a path visits each layer at most once
+            raise ValueError(
+                f"base_duration_days and layer_count allow planned dates {hi * self.layer_count:,} days after {EPOCH}, "
+                f"past {date.max}"
+            )
 
     def widths(self) -> tuple[int, ...]:
         if isinstance(self.layer_width, int):

@@ -1,9 +1,10 @@
 """Float-contract bits of ``rh_global`` for named networks, printed as JSON.
 
-Usage: ``python tests/rh_bits.py [--local] NAME...`` with ``src`` and
-``tests`` on the path. OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and
+Usage: ``python tests/rh_bits.py [--local | --split] NAME...`` with ``src``
+and ``tests`` on the path. OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and
 ``OPENBLAS_CORETYPE`` once, when numpy loads it, so a caller that compares
-kernels or thread counts runs this script once per setting. For each
+kernels or thread counts runs this script once per setting. Every sweep
+runs in this one process, except the split one of ``--split``. For each
 network it prints:
 
 * ``value``: ``rh_global(net).value`` as a float hex string;
@@ -15,7 +16,10 @@ network it prints:
 * with ``--local`` only: ``local``, a digest of ``rh_local_all(net).values``,
   and for the run of nodes ``RUN``: ``sampled``, the sweep's values there;
   ``single``, ``rh_local`` at each; and ``rebuilt``, the base score minus
-  ``rh_global`` of the network rebuilt without each.
+  ``rh_global`` of the network rebuilt without each;
+* with ``--split`` only, and in place of the rest: ``local``; ``split``,
+  the same digest for a sweep split between two processes at any size;
+  and ``forks``, how many children that split forked.
 
 A ``wide-N`` name prints only ``streamed``, for N random packed 0/1 rows
 of N bits, which never exist as one float matrix. A ``dot-N`` name prints
@@ -27,13 +31,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import sys
 
 import numpy as np
 
 from oracles import dense_rh, make_network, without_node
 from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local, rh_local_all
+from schednet import heterogeneity
 from schednet.heterogeneity import _block, _dot, _layout, _product
+from schednet.network import ActivityNetwork
 from schednet.reachability import closure
 
 
@@ -123,6 +131,24 @@ def bits(network, local=False):
     return out
 
 
+def split(network):
+    """Digests of the one-process and of the split sweep of fresh copies of ``network``, and the split's forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    local = rh_local_all(ActivityNetwork(network.nodes, network.edges)).values
+    heterogeneity._SPLIT_NODES, os.fork = 0, counted
+    try:
+        values = rh_local_all(ActivityNetwork(network.nodes, network.edges)).values
+    finally:
+        heterogeneity._SPLIT_NODES, os.fork = math.inf, fork
+    return {"local": _digest(local), "split": _digest(values), "forks": len(forks)}
+
+
 def wide(n):
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 256, size=(n, (n + 7) // 8), dtype=np.uint8)
@@ -136,13 +162,18 @@ def dot(n):
 
 
 if __name__ == "__main__":
-    local = "--local" in sys.argv
+    heterogeneity._SPLIT_NODES = math.inf  # every sweep but the split one of ``split`` runs in this process
+    flags = {"--local", "--split"} & set(sys.argv)
+    if "--split" in flags:
+        os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, whatever this machine has
     out = {}
     for name in sys.argv[1:]:
         if name.startswith("wide-"):
             out[name] = wide(int(name[len("wide-"):]))
         elif name.startswith("dot-"):
             out[name] = dot(int(name[len("dot-"):]))
-        elif name != "--local":
-            out[name] = bits(NETWORKS[name](), local)
+        elif "--split" in flags and name not in flags:
+            out[name] = split(NETWORKS[name]())
+        elif name not in flags:
+            out[name] = bits(NETWORKS[name](), "--local" in flags)
     json.dump(out, sys.stdout)

@@ -452,6 +452,13 @@ class TestRh:
         assert rows[0] == "id,local_rh"
         assert len(rows) == 4
 
+    def test_json_and_csv_sort_the_rows_once(self, schedule_files, tmp_path, monkeypatch):
+        a, d = schedule_files
+        sorts, rows = [], schednet.cli._Run.rh_rows.func
+        monkeypatch.setattr(schednet.cli._Run.rh_rows, "func", lambda run: sorts.append(run) or rows(run))
+        assert main(["rh", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
+        assert len(sorts) == 1
+
 
 QUOTED_IDS = """id,name,planned_start,planned_end,actual_start,actual_end
 "a,1",Dig,2021-01-01,2021-01-05,2021-01-02,2021-01-06
@@ -814,6 +821,11 @@ class TestGenerate:
             ("--width", "0", 0),
             ("--width", "2,3", "2,3"),
             ("--duration", "5,1", [5, 1]),
+            # past int64 in a draw, past the calendar's end in the planned and in the actual dates
+            ("--duration", "1,99999999999999999999", [1, 99999999999999999999]),
+            ("--noise", "uniform:0,99999999999999999999", "uniform:0,99999999999999999999"),
+            ("--duration", "1,999999999", [1, 999999999]),
+            ("--noise", "uniform:0,2000000", "uniform:0,2000000"),
         ],
     )
     def test_every_bad_value_names_its_flag_or_key(self, tmp_path, capsys, flag, text, value, as_config):

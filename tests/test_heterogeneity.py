@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
+import signal
+import threading
 import platform
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from pathlib import Path
 
@@ -30,6 +35,7 @@ from schednet import (
     rh_local_all,
 )
 from schednet import heterogeneity
+from schednet.cli import main
 from schednet.network import ActivityNetwork
 from oracles import (
     decimal_rh,
@@ -195,7 +201,7 @@ class TestDecimalOracle:
             assert abs(Decimal(rh_local(net, v)) - exact) < Decimal("1e-15"), v
 
 
-def rh_bits(names, threads=1, coretype=None, local=False):
+def rh_bits(names, threads=1, coretype=None, local=False, split=False):
     """Run ``rh_bits.py`` for ``names`` in a child with the given BLAS threads and kernel."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
@@ -203,7 +209,13 @@ def rh_bits(names, threads=1, coretype=None, local=False):
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     result = subprocess.run(
-        [sys.executable, str(Path(__file__).with_name("rh_bits.py")), *(["--local"] if local else []), *names],
+        [
+            sys.executable,
+            str(Path(__file__).with_name("rh_bits.py")),
+            *(["--local"] if local else []),
+            *(["--split"] if split else []),
+            *names,
+        ],
         env=env,
         capture_output=True,
         text=True,
@@ -457,6 +469,12 @@ class TestRhLocalAll:
 
 
 @pytest.fixture
+def one_process(monkeypatch):
+    """Sweep in this process at every size, for a test that counts or traces inside one sweep."""
+    monkeypatch.setattr(heterogeneity, "_SPLIT_NODES", math.inf)
+
+
+@pytest.fixture
 def c7():  # a new network per test: the first rh_local_all keeps its vector on it
     net = NETWORKS["c7"]()
     reachability_table(net)  # kept on the network, outside any traced call
@@ -509,7 +527,7 @@ class TestPartialRefresh:
         for v in sorted(nodes | set(rng.choice(sparse.n, 6, replace=False).tolist())):
             assert rh_local(sparse, v) == values[v], v
 
-    def test_refreshes_at_most_a_quarter_of_the_row_products_on_c7(self, c7, monkeypatch):
+    def test_refreshes_at_most_a_quarter_of_the_row_products_on_c7(self, c7, monkeypatch, one_process):
         cut = heterogeneity._layout(c7.n - 1)[1]
         real, refreshed = heterogeneity._product, []
 
@@ -523,7 +541,7 @@ class TestPartialRefresh:
         assert len(refreshed) == c7.n
         assert sum(refreshed) <= c7.n * (c7.n - 1) / 4
 
-    def test_sweep_peaks_under_a_quarter_of_the_float_matrix(self, c7):
+    def test_sweep_peaks_under_a_quarter_of_the_float_matrix(self, c7, one_process):
         # the sweep holds packed rows and one float block, no reduced matrix
         assert traced_peak(rh_local_all, c7) < (c7.n - 1) ** 2 * 8 / 4
 
@@ -542,6 +560,7 @@ def sweep_under(net, budget):
         lengths.append(len(self.run))
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heterogeneity, "_SPLIT_NODES", math.inf)  # one process, which counts every run
         patch.setattr(heterogeneity, "_run_budget", budget)
         patch.setattr(heterogeneity._ReducedReach, "_cone_run", counted)
         values = rh_local_all(ActivityNetwork(net.nodes, net.edges)).values
@@ -584,3 +603,206 @@ class TestConeRuns:
                 patch.setattr(heterogeneity, "_run_budget", budget)
                 for v in nodes:
                     assert rh_local(sparse, v) == values[v], v
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep splits by os.fork")
+
+
+@pytest.fixture(scope="module")
+def small_batch():
+    """The 200 topologies of perfbench's analyze-small-batch at seed 0 (n about 96)."""
+    config = dict(layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3)
+    return [generate_dag(GeneratorConfig(**config, seed=seed)) for seed in range(200)]
+
+
+def swept(net, split_nodes=0, cpus=2):
+    """``rh_local_all`` values of a fresh copy of ``net`` under a threshold and a CPU count, and the forks made.
+
+    The defaults split every network between two processes.
+    """
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heterogeneity, "_SPLIT_NODES", split_nodes)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "fork", counted)
+        values = rh_local_all(ActivityNetwork(net.nodes, net.edges)).values
+    return values, len(forks)
+
+
+def one_process_values(net):
+    return swept(net, math.inf)[0]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+class TestSplitSweep:
+    """Above ``_SPLIT_NODES`` nodes the sweep is split between processes, and every value keeps its bytes."""
+
+    def test_same_bytes_on_every_named_network_at_one_and_two_blas_threads(self):
+        with ThreadPoolExecutor(2) as pool:  # the two children run side by side
+            runs = list(pool.map(lambda threads: rh_bits(list(NETWORKS), threads, split=True), (1, 2)))
+        for threads, run in zip((1, 2), runs):
+            assert sorted(run) == sorted(NETWORKS)
+            for name, bits in run.items():
+                assert bits["split"] == bits["local"], (name, threads)
+                assert bits["forks"] == 1, (name, threads)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the thread count from /proc")
+    def test_the_parent_has_one_thread_after_each_fork(self, monkeypatch):
+        # Python 3.12 warns when a fork leaves the parent with other threads; OpenBLAS stops its own at a fork
+        np.ones((256, 256)) @ np.ones((256, 256))  # BLAS starts its worker threads, if it has any
+        counts, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                with open("/proc/self/stat") as stat:
+                    counts.append(int(stat.read().rsplit(")", 1)[1].split()[17]))
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        swept(NETWORKS["sparse"]())
+        assert counts == [1]
+
+    def test_same_bytes_on_the_small_batch(self, small_batch):
+        for seed, net in enumerate(small_batch):
+            values, forks = swept(net)
+            assert values.tobytes() == one_process_values(net).tobytes(), seed
+            assert forks == 1, seed
+        assert_no_child_left()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dags())
+    def test_every_split_point_gives_the_same_bytes(self, net):
+        expected = one_process_values(net)
+        base = rh_global(net).value
+        for cut in range(1, net.n):
+            values = heterogeneity._sweep(heterogeneity._ReducedReach(net), base, [0, cut, net.n])
+            assert values.tobytes() == expected.tobytes(), cut
+
+    def test_more_processes_than_cpus_give_the_same_bytes(self):
+        net = NETWORKS["sparse"]()
+        values, forks = swept(net, cpus=5)
+        assert forks == 4
+        assert values.tobytes() == one_process_values(net).tobytes()
+        assert_no_child_left()
+
+    def test_splits_above_the_threshold_only(self, small_batch):
+        threshold = heterogeneity._SPLIT_NODES
+        for seed, net in enumerate(small_batch):
+            assert swept(net, threshold)[1] == 0, seed
+        assert swept(NETWORKS["c7"](), threshold)[1] == 1
+
+    def test_no_fork_on_one_cpu(self):
+        assert swept(NETWORKS["sparse"](), cpus=1)[1] == 0
+
+    def test_no_fork_while_another_thread_runs(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            forks = swept(NETWORKS["sparse"]())[1]
+        finally:
+            done.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == 0
+
+    def test_one_process_where_the_affinity_mask_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(heterogeneity, "_SPLIT_NODES", 0)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert heterogeneity._workers(1000) == 1
+
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_the_parent_sweeps_the_range_of_a_failed_child(self, monkeypatch, how):
+        net = NETWORKS["sparse"]()
+        expected = one_process_values(net)
+        parent, fill = os.getpid(), heterogeneity._fill
+
+        def failing(values, reduced, base, nodes):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("child failed")
+                os.kill(os.getpid(), signal.SIGKILL)
+            fill(values, reduced, base, nodes)
+
+        monkeypatch.setattr(heterogeneity, "_fill", failing)
+        values, forks = swept(net)
+        assert forks == 1
+        assert values.tobytes() == expected.tobytes()
+        assert_no_child_left()
+
+    def test_the_parent_sweeps_a_range_it_could_not_fork_for(self, monkeypatch):
+        net = NETWORKS["sparse"]()
+        expected = one_process_values(net)
+
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        values, forks = swept(net)
+        assert forks == 0
+        assert values.tobytes() == expected.tobytes()
+
+    def test_a_failing_parent_kills_and_reaps_its_children(self, monkeypatch):
+        net = NETWORKS["sparse"]()
+        parent = os.getpid()
+
+        def failing(values, reduced, base, nodes):
+            if os.getpid() == parent:
+                raise RuntimeError("parent failed")
+            time.sleep(30)  # a child ends only when it is killed
+
+        monkeypatch.setattr(heterogeneity, "_fill", failing)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="parent failed"):
+            swept(net)
+        assert time.perf_counter() - start < 20
+        assert_no_child_left()
+        assert net._local is None
+
+    def test_c8_reruns_are_byte_identical_with_the_split_forced(self, tmp_path):
+        # acceptance c8 on its schedule, in child processes that split every sweep between two processes
+        assert main(["generate", "--layers", "12", "--width", "6", "--edge-prob", "0.2", "--skip-depth", "3",
+                     "--seed", "9", "--noise", "two_point:0.2,8", "--out", str(tmp_path / "in")]) == 0
+        inputs = [str(tmp_path / "in" / "activities.csv"), str(tmp_path / "in" / "dependencies.csv")]
+        script = "\n".join([
+            "import os, sys",
+            "from schednet import heterogeneity",
+            "from schednet.cli import main",
+            "forks, fork = [], os.fork",
+            "os.fork = lambda: forks.append(fork()) or forks[-1]",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "heterogeneity._SPLIT_NODES = 0",
+            "code = main(sys.argv[1:])",
+            "print(f'forks: {len(forks)}', file=sys.stderr)",
+            "sys.exit(code)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for run in ("one", "two"):
+            result = subprocess.run(
+                [sys.executable, "-c", script, "analyze", *inputs, "--out", str(tmp_path / run)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            assert "forks: 1" in result.stderr
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heterogeneity, "_SPLIT_NODES", math.inf)
+            assert main(["analyze", *inputs, "--out", str(tmp_path / "single")]) == 0
+        manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert sorted(a["path"] for a in manifest["artifacts"]) == [name for name in names if name != "manifest.json"]
+        for name in names:
+            one = (tmp_path / "one" / name).read_bytes()
+            assert (tmp_path / "two" / name).read_bytes() == one, name
+            assert (tmp_path / "single" / name).read_bytes() == one, name

@@ -15,7 +15,15 @@ from schednet import (
     tail_distribution,
     tail_distribution_csv,
 )
-from oracles import dfs_reachable_sets, random_network, reversed_adjacency, rh_from_pair_sum
+from schednet.reachability import closure
+from oracles import (
+    dfs_reachable_sets,
+    random_network,
+    reversed_adjacency,
+    rh_from_pair_sum,
+    screening_network,
+    traced_peak,
+)
 
 WORKING_SCALE = {
     # the acceptance-c7 topology: n=1208, 15,834 reachable pairs
@@ -128,6 +136,12 @@ class TestWorkingScale:
         assert list(table.reachable_pairs) == [(i, j) for i in range(net.n) for j in sorted(desc[i])]
         assert table.descendant_counts.tolist() == [len(s) for s in desc]
         assert table.ancestor_counts.tolist() == [len(s) for s in anc]
+
+    def test_closure_peaks_under_two_and_a_quarter_times_its_rows(self):
+        # the descendant bitsets are freed as their rows are written, so the two overlap only in part
+        net = screening_network()
+        assert traced_peak(closure, net) < 2.25 * net.n * net.n / 8
+        assert not closure(net)._rows.flags.writeable
 
     def test_rh_cancellation_error_is_bounded(self, scale_net):
         # the expansion trick cancels O(n) terms; measured 5.9e-15 (c7) and
