@@ -75,19 +75,21 @@ row of ``R @ w`` and starts a new run, and the rows of a run are exact
 sets, so every value keeps the bits of the one-process sweep at any
 number of processes. Children copy their values into an anonymous shared
 mapping and end in ``os._exit``; the parent reaps each one and sweeps
-the range of any child that failed. The split uses ``os.fork`` and not a
-``multiprocessing`` pool because a pool costs more than it saves: on a
-2-vCPU VM a spawn pool of one worker took 0.375 s to start, more than
-the whole sweep of the 1208-node acceptance-c7 network, a forkserver
-pool 0.27 s and a fork pool 13 ms, where an ``os.fork`` round trip took
-2.7 ms. Threads ran slower than one process (0.356 to 0.424 s on c7),
-since the sweep holds the interpreter lock for most of its steps. A fork
-copies only the calling thread, so the sweep forks only when no other
-Python thread runs; OpenBLAS stops its own worker threads in an at-fork
-handler and starts them again at its next call. Below the threshold the
+the range of any child that failed or could not start. The split uses
+``os.fork`` and not a ``multiprocessing`` pool because a pool costs more
+than it saves: on a 2-vCPU VM a spawn pool of one worker took 0.375 s
+to start, more than the whole sweep of the 1208-node acceptance-c7
+network, a forkserver pool 0.27 s and a fork pool 13 ms, where an
+``os.fork`` round trip took 2.7 ms. Threads ran slower than one process
+(0.356 to 0.424 s on c7), since the sweep holds the interpreter lock for
+most of its steps. A fork copies only the calling thread, so the sweep
+forks only when no other Python thread runs; OpenBLAS stops its own
+worker threads in an at-fork handler and starts them again at its next
+call. Below the threshold the
 fork, the page copies it causes and the wake-up of the second CPU cost
-more than half a sweep saves: at n=96 a split took 11-16 ms against
-5.6 ms in one process.
+more than half a sweep saves: at n=96 a split took 1.6 times the 5.4 ms
+of one process, at n=283 0.65-1.3 times as long by the host's phase,
+and from n=344 up 0.57-0.84 of the time on every network measured.
 
 The float contract of every RH value is the bits of ``u @ (R @ w)`` with
 ``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread

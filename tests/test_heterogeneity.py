@@ -6,11 +6,11 @@ import json
 import logging
 import math
 import os
-import signal
-import threading
 import platform
+import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
@@ -629,7 +629,7 @@ def swept(net, split_nodes=0, cpus=2):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heterogeneity, "_SPLIT_NODES", split_nodes)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         patch.setattr(os, "fork", counted)
         values = rh_local_all(ActivityNetwork(net.nodes, net.edges)).values
     return values, len(forks)
