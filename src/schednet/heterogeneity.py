@@ -114,8 +114,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
-from .network import ActivityNetwork, topological_order
-from .reachability import closure
+from .network import ActivityNetwork, _successor_csr, topological_order
+from .reachability import _packed, _reach, closure
 
 logger = logging.getLogger(__name__)
 
@@ -184,8 +184,11 @@ def rh_local(network: ActivityNetwork, node: int) -> float:
     value is one step of ``rh_local_all``'s sweep, so it equals that
     sweep's entry bit for bit, and the smaller network's reach matrix is
     never held.
+
+    Raises:
+        UnknownNode: ``node`` is not an integer in 0..n-1 (a bool is not).
     """
-    if not 0 <= node < network.n:
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < network.n:
         raise UnknownNode(node)
     return rh_global(network).value - _ReducedReach(network).value_without(node)
 
@@ -319,9 +322,9 @@ class _ReducedReach:
         self.n = n = network.n
         table = closure(network)
         self.table, self.rows = table, table._rows
-        self.order = np.array(topological_order(network), dtype=np.int64)
-        self.rank = np.argsort(self.order)  # rank[order[r]] = r
-        self.ancestors = _ancestor_rows(self.rows, self.order)
+        order = topological_order(network)
+        # reflexive: bit j of row i is set when node j reaches i or j = i
+        self.ancestors = _packed([bits | 1 << i for i, bits in enumerate(_reach(network.predecessor_lists, order))])
         self.inverse = _inverse_roots(n)
         size = max(n - 1, 0)
         self.y = np.empty(size, dtype=np.float64)
@@ -333,11 +336,8 @@ class _ReducedReach:
         self.removed: int | None = None
         self.slot = np.arange(n)
         self.patched = np.empty(0, dtype=np.int64)
-        # successors as CSR arrays (edges are sorted by source) and each node's height
-        self.degree = network.out_degrees()
-        self.first = np.cumsum(self.degree) - self.degree
-        self.targets = np.array([t for _, t in network.edges], dtype=np.int64)
-        self.height = _heights(network.successor_lists, self.order)
+        self.first, self.degree, self.targets = _successor_csr(network)
+        self.height = _heights(network.successor_lists, order)
         budget, nbytes = _run_budget(n), self.rows.shape[1]
         # rows per run, one per node of each cone anc(k) + {k}: as many as fill the budget, at least the largest cone
         fill = min(budget // max(nbytes, 1), table.pair_count + n)
@@ -392,17 +392,13 @@ class _ReducedReach:
         n, buffer = self.n, self.buffer
         k1 = int(np.searchsorted(self.cumulative, self.cumulative[k0] + self.capacity, "right")) - 1
         k1 = max(k0 + 1, min(k1, k0 + self.span))
-        # keys (k - k0) * n + rank(i) of the pairs (k, i), i in anc(k) or i = k, ascending: by k,
-        # then in topological order, so k closes its cone
+        # keys (k - k0) * n + i of the pairs (k, i), i in anc(k) or i = k, ascending
         step = max(1, _CHUNK // n)
-        keys = []
-        for s in range(k0, k1, step):
-            member = _bits(self.ancestors[s:min(s + step, k1)], n)
-            member[np.arange(len(member)), self.rank[s:s + len(member)]] = 1
-            keys.append(np.flatnonzero(member) + (s - k0) * n)
-        keys = np.concatenate(keys)
+        keys = np.concatenate(
+            [np.flatnonzero(_bits(self.ancestors[s:min(s + step, k1)], n)) + (s - k0) * n for s in range(k0, k1, step)]
+        )
         self.run, self.bounds = range(k0, k1), (self.cumulative[k0:k1 + 1] - self.cumulative[k0]).tolist()
-        self.cone = cone = self.order[keys % n]
+        self.cone = cone = keys % n
         owner = keys - keys % n  # (k - k0) * n
         # the buffer row that stands for node j while k is removed sits at stand_in[(k - k0) * n + j]
         stand_in = np.tile(np.arange(n, dtype=np.int32), k1 - k0)
@@ -440,7 +436,7 @@ class _ReducedReach:
         touched = _bits(self.rows[k - 1] | self.rows[k], self.n)
         touched[k - 1:k + 1] = 1
         reach = np.bitwise_or.reduce(self.ancestors[touched.view(bool)], axis=0)
-        dirty = _without(_bits(reach, self.n)[self.rank] | touched, k)
+        dirty = _without(_bits(reach, self.n), k)
         return np.flatnonzero(dirty[:self.cut])
 
 
@@ -449,29 +445,13 @@ def _run_budget(n: int) -> int:
     return max(n * n // 8, _CHUNK)
 
 
-def _heights(succ, order: np.ndarray) -> np.ndarray:
+def _heights(succ, order: list[int]) -> np.ndarray:
     """Each node's longest path to a sink, in edges."""
     height = [0] * len(succ)
-    for i in order[::-1].tolist():
+    for i in reversed(order):
         if succ[i]:
             height[i] = 1 + max(height[j] for j in succ[i])
     return np.array(height, dtype=np.int64)
-
-
-def _ancestor_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Packed ancestor rows: bit r of row j is set when node ``order[r]`` reaches j.
-
-    The closure rows are transposed in bounded chunks of whole bytes, so no
-    n x n temporary exists. Bits follow the topological order, so a row
-    unpacks to its ancestors sorted by rank.
-    """
-    n = len(rows)
-    out = np.empty_like(rows)
-    step = _layout(n)[0]  # whole 8-row groups, so each chunk fills whole bytes
-    for start in range(0, n, step):
-        block = _bits(rows[order[start:start + step]], n)
-        out[:, start // 8:(start + step) // 8] = np.packbits(block.T, axis=1, bitorder="little")
-    return out
 
 
 def _layout(n: int) -> tuple[int, int]:

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .heterogeneity import rh_local_all
-from .network import ActivityNetwork
+from .network import ActivityNetwork, _successor_csr
 from .reachability import ReachabilityTable, closure, reachability_table
 
 METRIC_NAMES = (
@@ -95,8 +95,7 @@ def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, Metric
     if network._paths is None:
         n = network.n
         table = closure(network)
-        degree = network.out_degrees()
-        adjacency = (np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64))
+        adjacency = _successor_csr(network)
         bounds, stamp = _batches(n, table.descendant_counts)
         score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         for start, stop in bounds:

@@ -231,6 +231,12 @@ def topological_order(network: ActivityNetwork) -> list[int]:
     return list(network._order)
 
 
+def _successor_csr(network: ActivityNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Successors as CSR arrays over the sorted edges: each node's first edge and out-degree, and every edge's target."""
+    degree = network.out_degrees()
+    return np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64)
+
+
 def prune_isolated(network: ActivityNetwork) -> ActivityNetwork:
     """Drop every node with no incoming and no outgoing dependency.
 

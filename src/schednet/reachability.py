@@ -55,34 +55,46 @@ def closure(network: ActivityNetwork) -> ReachabilityTable:
     Row i of the uint8 ``_rows`` holds the proper descendants of i as
     little-endian bits: node j is bit ``j & 7`` of byte ``j >> 3``. Rows
     and the exact descendant and ancestor counts are read-only. Reach sets
-    are accumulated as Python-int bitsets, ancestors along the topological
-    order and descendants against it, so every neighbour's set is final
-    before it is folded in.
+    are accumulated as Python-int bitsets (``_reach``), ancestors along the
+    topological order and descendants against it.
     """
     if network._closure is None:
-        n = network.n
         order = topological_order(network)
-        counts = []
         # ancestors first, so only the descendant bitsets are alive when packed
-        for adjacency, sequence in ((network.predecessor_lists, order), (network.successor_lists, order[::-1])):
-            reach = [0] * n
-            for i in sequence:
-                bits = 0
-                for j in adjacency[i]:
-                    bits |= reach[j] | (1 << j)
-                reach[i] = bits
-            counts.append(np.array([bits.bit_count() for bits in reach], dtype=np.int64))
-            counts[-1].setflags(write=False)
-        a, d = counts
-        nbytes = (n + 7) // 8
-        rows = np.empty((n, nbytes), dtype=np.uint8)
-        with rows.reshape(-1).data as flat:
-            for i in range(n):
-                flat[i * nbytes:(i + 1) * nbytes] = reach[i].to_bytes(nbytes, "little")
-                reach[i] = 0  # freed once written, so the bitsets and the rows overlap less
-        rows.setflags(write=False)
-        network._closure = ReachabilityTable(d, a, int(d.sum()), rows)
+        a = np.array([bits.bit_count() for bits in _reach(network.predecessor_lists, order)], dtype=np.int64)
+        reach = _reach(network.successor_lists, order[::-1])
+        d = np.array([bits.bit_count() for bits in reach], dtype=np.int64)
+        a.setflags(write=False)
+        d.setflags(write=False)
+        network._closure = ReachabilityTable(d, a, int(d.sum()), _packed(reach))
     return network._closure
+
+
+def _reach(adjacency: Sequence[Sequence[int]], sequence: Sequence[int]) -> list[int]:
+    """Each node's proper reach along ``adjacency`` as a Python-int bitset, bit j for node j.
+
+    ``sequence`` puts every neighbour before its node, so the neighbour's set is final when folded in.
+    """
+    reach = [0] * len(adjacency)
+    for i in sequence:
+        bits = 0
+        for j in adjacency[i]:
+            bits |= reach[j] | (1 << j)
+        reach[i] = bits
+    return reach
+
+
+def _packed(bitsets: list[int]) -> np.ndarray:
+    """Read-only little-endian uint8 rows of ``bitsets``, each bitset freed once written so the two overlap less."""
+    n = len(bitsets)
+    nbytes = (n + 7) // 8
+    rows = np.empty((n, nbytes), dtype=np.uint8)
+    with rows.reshape(-1).data as flat:
+        for i in range(n):
+            flat[i * nbytes:(i + 1) * nbytes] = bitsets[i].to_bytes(nbytes, "little")
+            bitsets[i] = 0
+    rows.setflags(write=False)
+    return rows
 
 
 def tail_distribution(

@@ -39,6 +39,7 @@ from schednet import (
     write_dependencies,
 )
 from schednet.cli import main
+from schednet.schedule_io import activities_csv, dependencies_csv
 from oracles import traced_peak
 
 ACTIVITIES = """id,name,planned_start,planned_end,actual_start,actual_end
@@ -898,3 +899,66 @@ def test_generate_exits_with_a_documented_code_and_names_every_error(data):
     assert code in (0, 2, 5)
     if code == 2:
         assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+def twelve_activity_texts():
+    """Activities and dependencies CSV texts of a generated 12-activity schedule with actual dates."""
+    config = GeneratorConfig(layer_count=3, layer_width=4, edge_probability=0.5, seed=2)
+    network = simulate_delays(generate_dag(config), PropagationConfig(slack_days=0), NoiseSpec.two_point(0.3, 4), seed=1)
+    ids = network.node_ids
+    return activities_csv(network.nodes), dependencies_csv([Dependency(ids[s], ids[t]) for s, t in network.edges])
+
+
+SCHEDULE = twelve_activity_texts()
+SCHEDULE_IDS = [line.split(",")[0] for line in SCHEDULE[0].splitlines()[1:]]
+CELLS = st.sampled_from(["", "x", "2021-02-30", "2021-01-01", "0001-01-01", "9999-12-31", "-3", *SCHEDULE_IDS])
+# bytes that break quoting, line structure or the encoding
+RAW = st.sampled_from([b'"', b"\r", b"\n", b",", b"\x00", b"\xef\xbb\xbf", b"\xff"])
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` as CSV bytes after one to three row, cell or byte mutations."""
+    rows, raw = [line.split(",") for line in text.splitlines()], []
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["cell", "short", "long", "drop", "copy", "edge", "raw"]))
+        at = draw(st.integers(0, len(rows)))  # a row, or where an inserted row goes
+        if op == "raw":
+            raw.append(draw(RAW))
+        elif op == "edge":  # two schedule ids: a cycle, a self-loop or a duplicate
+            rows.insert(at, [draw(st.sampled_from(SCHEDULE_IDS)) for _ in "ij"])
+        elif op == "copy" and rows:
+            rows.insert(at, list(draw(st.sampled_from(rows))))
+        elif at < len(rows):
+            row = rows[at]
+            if op == "drop":
+                del rows[at]
+            elif op == "long":
+                row.append(draw(CELLS))
+            elif row:
+                c = draw(st.integers(0, len(row) - 1))
+                if op == "cell":
+                    row[c] = draw(CELLS | st.text(max_size=5))
+                else:
+                    del row[c]
+    data = "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
+    for byte in raw:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + byte + data[at:]
+    return data
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(activities=mutated(SCHEDULE[0]), dependencies=mutated(SCHEDULE[1]), which=st.sampled_from(["a", "d", "ad"]))
+def test_mutated_schedules_exit_with_a_documented_code_and_an_error_line(activities, dependencies, which):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, d = Path(tmp, "activities.csv"), Path(tmp, "dependencies.csv")
+        a.write_bytes(activities if "a" in which else SCHEDULE[0].encode("utf-8"))
+        d.write_bytes(dependencies if "d" in which else SCHEDULE[1].encode("utf-8"))
+        for argv in (["analyze", "--out", f"{tmp}/out"], ["bins", "--by", "betweenness"], ["benchmark", "--metric", "end"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, str(a), str(d)])
+            assert code in (0, 2, 3, 4, 5), argv
+            if code:
+                assert any(line.startswith("error: ") for line in err.getvalue().splitlines()), (argv, err.getvalue())

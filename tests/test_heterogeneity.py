@@ -403,9 +403,13 @@ class TestRhLocal:
         for v in range(4):
             assert rh_local(two_disjoint_edges, v) == 0.0
 
-    def test_unknown_node(self, path3):
-        with pytest.raises(UnknownNode):
-            rh_local(path3, 3)
+    @pytest.mark.parametrize("node", [1.5, True, "3", None, -1, 3, np.int64(2)], ids=repr)
+    def test_a_node_is_an_integer_index(self, path3, node):
+        if isinstance(node, np.integer):
+            assert rh_local(path3, node) == rh_local(path3, int(node))
+        else:
+            with pytest.raises(UnknownNode):
+                rh_local(path3, node)
 
     def test_negative_values_are_legal(self):
         # removing a peripheral feeder can make the rest more heterogeneous
@@ -567,8 +571,27 @@ def sweep_under(net, budget):
     return values, lengths
 
 
+def assert_ancestor_rows(net):
+    """The sweep's ancestor rows are read-only and unpack to the transposed closure plus the identity."""
+    ancestors = heterogeneity._ReducedReach(net).ancestors
+    rows = reachability_table(net)._rows
+    assert not ancestors.flags.writeable and ancestors.shape == rows.shape
+    transposed = np.unpackbits(rows, axis=1, count=net.n, bitorder="little").T
+    expected = transposed | np.eye(net.n, dtype=np.uint8)
+    assert np.array_equal(np.unpackbits(ancestors, axis=1, count=net.n, bitorder="little"), expected)
+
+
 class TestConeRuns:
     """The rows of anc(k) without k come from one level-by-level pass per run of removed nodes."""
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(dags())
+    def test_ancestor_rows_are_the_transposed_closure_and_each_node(self, net):
+        assert_ancestor_rows(net)
+
+    @pytest.mark.parametrize("name", ["c7", "sparse"])
+    def test_ancestor_rows_at_working_scale(self, name):
+        assert_ancestor_rows(NETWORKS[name]())
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(dags(), st.sampled_from(sorted(RUN_BUDGETS)))
