@@ -6,6 +6,20 @@ and reverse closeness in the Wasserman-Faust form for disconnected
 graphs, descendant and ancestor counts, and local RH. All shortest paths
 use unit edge weights. One batched Brandes search per network gives all
 three shortest-path metrics, and the network keeps them (:func:`_paths`).
+
+Above ``_SPLIT_PAIRS`` reachable pairs the search is split between the
+CPUs the process may run on (``parallel.split``, which the local-RH sweep
+uses too): the batch list is cut into contiguous runs of about equal cost,
+one per process, and each child streams back its batches' dependencies,
+which go into the scores in batch order, so every vector has the same
+bytes at any number of processes. The acceptance-c7 closure (15.8k
+pairs) and the analyze-small-batch ones (about 3k) stay under it. The
+threshold is measured as split over one-process search time, median of
+15 alternating in-process pairs on a 2-vCPU VM (one BLAS thread, closure
+built beforehand), on grids of three shapes: 1.17-2.01 on the four
+networks of 13-41k pairs (c7: 1.58), 0.80-0.96 on the seven of 36-99k,
+which won 9-12 of the 15 pairs, and 0.67-0.91 on the six of 123-325k,
+which won 8-15.
 """
 
 from __future__ import annotations
@@ -16,7 +30,8 @@ from typing import Iterator
 import numpy as np
 
 from .heterogeneity import rh_local_all
-from .network import ActivityNetwork, _successor_csr
+from .network import ActivityNetwork, _heights, _successor_csr, topological_order
+from .parallel import processes, split
 from .reachability import ReachabilityTable, closure, reachability_table
 
 METRIC_NAMES = (
@@ -67,7 +82,8 @@ def betweenness(network: ActivityNetwork) -> MetricVector:
       in ascending source order, within a batch and across batches.
 
     These are the bits of one search per source with the sources in
-    ascending order, whatever the batch limits (:func:`_limits`).
+    ascending order, whatever the batch limits (:func:`_limits`) and
+    however the batches are split between processes (:func:`_scores`).
     """
     return _paths(network)[0]
 
@@ -90,16 +106,15 @@ def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, Metric
 
     Batches of consecutive sources, sized by the closure's descendant
     counts, are searched in turn (:func:`_search`) over CSR arrays of the
-    sorted edges, so each node's successors come in ascending order.
+    sorted edges, so each node's successors come in ascending order. Above
+    ``_SPLIT_PAIRS`` reachable pairs the batches are split between
+    processes (:func:`_cuts`), with the same bits.
     """
     if network._paths is None:
         n = network.n
         table = closure(network)
-        adjacency = _successor_csr(network)
         bounds, stamp = _batches(n, table.descendant_counts)
-        score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        for start, stop in bounds:
-            away[start:stop] = _search(adjacency, np.arange(start, stop), stamp, score, into)
+        score, away, into = _scores(network, bounds, stamp, _cuts(network, table, bounds))
         vectors = [MetricVector("betweenness", score)]
         names = ("closeness", "reverse_closeness")
         for name, r, total in zip(names, (table.descendant_counts, table.ancestor_counts), (away, into)):
@@ -111,19 +126,79 @@ def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, Metric
     return network._paths
 
 
-def _search(adjacency, sources: np.ndarray, stamp: np.ndarray, score: np.ndarray, into: np.ndarray) -> np.ndarray:
-    """Brandes' search from one batch of sources; returns their int64 distance sums.
+_SPLIT_PAIRS = 100_000  # closures with more reachable pairs split the search between processes (measured)
+_LEVEL_PAIRS = 256  # a search level's fixed numpy cost, in reached pairs (measured)
+
+
+def _cuts(network: ActivityNetwork, table: ReachabilityTable, bounds: list[tuple[int, int]]) -> list[int]:
+    """Batch indices that cut ``bounds`` into contiguous runs of about equal cost, one per process.
+
+    One run unless the closure holds more than ``_SPLIT_PAIRS`` pairs and
+    ``parallel.processes`` gives more than one process. A batch costs its
+    reached pairs plus ``_LEVEL_PAIRS`` for each of its levels, at most its
+    highest source's height + 1; each run takes the batches whose cost
+    midpoint falls in its share of the total.
+    """
+    workers = processes(len(bounds)) if table.pair_count > _SPLIT_PAIRS else 1
+    if workers == 1:
+        return [0, len(bounds)]
+    starts = [start for start, _ in bounds]
+    height = _heights(network.successor_lists, topological_order(network))
+    cost = np.add.reduceat(table.descendant_counts, starts) + _LEVEL_PAIRS * (np.maximum.reduceat(height, starts) + 1)
+    cumulative = np.cumsum(cost)
+    shares = cumulative[-1] * np.arange(1, workers) / workers
+    return sorted({0, *np.searchsorted(cumulative - cost / 2, shares).tolist(), len(bounds)})
+
+
+def _scores(
+    network: ActivityNetwork, bounds: list[tuple[int, int]], stamp: np.ndarray, cuts: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Betweenness scores and the int64 distance sums from and to each node.
+
+    Process w searches batches ``cuts[w]`` to ``cuts[w + 1] - 1``
+    (``parallel.split``). Its records are, for each batch, the reached
+    nodes and their dependencies in ascending source order and the
+    sources' distance sums, then its sums into every node. Each batch's
+    dependencies go into ``score`` by one ``np.add.at`` in batch order,
+    here or from a child's stream, so the scores have the one-process
+    bits; the sums are exact integers.
+    """
+    n = network.n
+    adjacency = _successor_csr(network)
+    score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+
+    def produce(batches: range):
+        sums = np.zeros(n, dtype=np.int64)
+        for start, stop in bounds[batches.start:batches.stop]:
+            yield from _search(adjacency, np.arange(start, stop), stamp, sums)
+        yield sums
+
+    def consume(batches: range, records) -> None:
+        for start, stop in bounds[batches.start:batches.stop]:
+            np.add.at(score, next(records), next(records))
+            away[start:stop] = next(records)
+        np.add(into, next(records), out=into)
+
+    split([range(lo, hi) for lo, hi in zip(cuts, cuts[1:])], produce, consume, kept=(score, into))
+    return score, away, into
+
+
+def _search(adjacency, sources: np.ndarray, stamp: np.ndarray, into: np.ndarray) -> Iterator[np.ndarray]:
+    """Brandes' search from one batch of sources.
 
     ``sigma`` goes forward over the levels (:func:`_levels`) and ``delta``
-    back into ``score``; each reached pair's depth also goes to its node's
-    entry of ``into``. The batch's arrays die before the next batch's levels.
+    back; each reached pair's depth also goes to its node's entry of
+    ``into``. It yields the reached nodes and their dependencies, both in
+    ascending source order, then the sources' int64 distance sums. The
+    batch's arrays die before the next batch's levels.
     """
-    n, width = len(score), len(sources)
+    n, width = len(into), len(sources)
     levels = list(_levels(adjacency, n, sources, stamp))
     sigma = [np.ones(width)]
     for keys, parent, child in levels:
         sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
-    reached, dependency = [], []
+    # an empty first piece, so a batch that reaches nothing gives empty arrays
+    reached, dependency = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     delta = np.zeros(len(sigma[-1]))
     while levels:  # deepest first, dropping each level once it is used
         keys, parent, child = levels.pop()
@@ -134,8 +209,6 @@ def _search(adjacency, sources: np.ndarray, stamp: np.ndarray, score: np.ndarray
         parent = parent[order]
         up = sigma[-1]
         delta = np.bincount(parent, weights=up[parent] * coeff[child[order]], minlength=len(up))
-    if not reached:
-        return np.zeros(width, dtype=np.int64)
     depth = np.repeat(np.arange(len(reached), 0, -1, dtype=np.int32), [len(k) for k in reached])
     reached, dependency = np.concatenate(reached), np.concatenate(dependency)  # frees the level lists
     source = reached // n
@@ -143,8 +216,9 @@ def _search(adjacency, sources: np.ndarray, stamp: np.ndarray, score: np.ndarray
     total = np.bincount(source, weights=depth, minlength=width)  # float sums, exact below 2**53
     reached %= n  # the reached nodes
     into += np.bincount(reached, weights=depth, minlength=n).astype(np.int64)
-    np.add.at(score, reached[order], dependency[order])
-    return total.astype(np.int64)
+    yield reached[order]
+    yield dependency[order]
+    yield total.astype(np.int64)
 
 
 def _limits(n: int) -> tuple[int, int]:

@@ -237,6 +237,15 @@ def _successor_csr(network: ActivityNetwork) -> tuple[np.ndarray, np.ndarray, np
     return np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64)
 
 
+def _heights(succ: Sequence[Sequence[int]], order: list[int]) -> np.ndarray:
+    """Each node's longest path to a sink, in edges, from its successor lists and a topological order."""
+    height = [0] * len(succ)
+    for i in reversed(order):
+        if succ[i]:
+            height[i] = 1 + max(height[j] for j in succ[i])
+    return np.array(height, dtype=np.int64)
+
+
 def prune_isolated(network: ActivityNetwork) -> ActivityNetwork:
     """Drop every node with no incoming and no outgoing dependency.
 

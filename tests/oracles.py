@@ -10,18 +10,22 @@ unchanged as the reference for the library's floating-point path. The
 library must reproduce their bytes, not merely their values.
 
 ``screening_network`` and ``traced_peak`` are the network and the
-tracemalloc helper that the working-memory checks share.
+tracemalloc helper that the working-memory checks share, and
+``forced_split`` the setting the checks of both split stages share.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import tracemalloc
 from collections import deque
 from datetime import date
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 
 from schednet import (
     ActivityNetwork,
@@ -87,6 +91,32 @@ def traced_peak(function, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def forced_split(module, threshold_name, threshold=0, cpus=2):
+    """A split stage's threshold set and ``cpus`` CPUs faked; yields the list of pids ``os.fork`` returns.
+
+    A split pins this process to one CPU and then sets the faked mask
+    back, so the real mask is set again at the end.
+    """
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, threshold_name, threshold)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(os, "fork", counted)
+        try:
+            yield forks
+        finally:
+            if real is not None:
+                os.sched_setaffinity(0, real)
 
 
 def dfs_reachable_sets(succ):

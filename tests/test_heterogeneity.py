@@ -39,6 +39,7 @@ from schednet.cli import main
 from schednet.network import ActivityNetwork
 from oracles import (
     decimal_rh,
+    forced_split,
     make_network,
     make_records,
     random_network,
@@ -643,17 +644,7 @@ def swept(net, split_nodes=0, cpus=2):
 
     The defaults split every network between two processes.
     """
-    forks, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        forks.append(pid)
-        return pid
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(heterogeneity, "_SPLIT_NODES", split_nodes)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        patch.setattr(os, "fork", counted)
+    with forced_split(heterogeneity, "_SPLIT_NODES", split_nodes, cpus) as forks:
         values = rh_local_all(ActivityNetwork(net.nodes, net.edges)).values
     return values, len(forks)
 
@@ -679,23 +670,6 @@ class TestSplitSweep:
             for name, bits in run.items():
                 assert bits["split"] == bits["local"], (name, threads)
                 assert bits["forks"] == 1, (name, threads)
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the thread count from /proc")
-    def test_the_parent_has_one_thread_after_each_fork(self, monkeypatch):
-        # Python 3.12 warns when a fork leaves the parent with other threads; OpenBLAS stops its own at a fork
-        np.ones((256, 256)) @ np.ones((256, 256))  # BLAS starts its worker threads, if it has any
-        counts, fork = [], os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                with open("/proc/self/stat") as stat:
-                    counts.append(int(stat.read().rsplit(")", 1)[1].split()[17]))
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        swept(NETWORKS["sparse"]())
-        assert counts == [1]
 
     def test_same_bytes_on_the_small_batch(self, small_batch):
         for seed, net in enumerate(small_batch):
@@ -725,74 +699,6 @@ class TestSplitSweep:
         for seed, net in enumerate(small_batch):
             assert swept(net, threshold)[1] == 0, seed
         assert swept(NETWORKS["c7"](), threshold)[1] == 1
-
-    def test_no_fork_on_one_cpu(self):
-        assert swept(NETWORKS["sparse"](), cpus=1)[1] == 0
-
-    def test_no_fork_while_another_thread_runs(self):
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait, args=(60,))
-        thread.start()
-        try:
-            forks = swept(NETWORKS["sparse"]())[1]
-        finally:
-            done.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert forks == 0
-
-    def test_one_process_where_the_affinity_mask_is_unknown(self, monkeypatch):
-        monkeypatch.setattr(heterogeneity, "_SPLIT_NODES", 0)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert heterogeneity._workers(1000) == 1
-
-    @pytest.mark.parametrize("how", ["raises", "is killed"])
-    def test_the_parent_sweeps_the_range_of_a_failed_child(self, monkeypatch, how):
-        net = NETWORKS["sparse"]()
-        expected = one_process_values(net)
-        parent, fill = os.getpid(), heterogeneity._fill
-
-        def failing(values, reduced, base, nodes):
-            if os.getpid() != parent:
-                if how == "raises":
-                    raise RuntimeError("child failed")
-                os.kill(os.getpid(), signal.SIGKILL)
-            fill(values, reduced, base, nodes)
-
-        monkeypatch.setattr(heterogeneity, "_fill", failing)
-        values, forks = swept(net)
-        assert forks == 1
-        assert values.tobytes() == expected.tobytes()
-        assert_no_child_left()
-
-    def test_the_parent_sweeps_a_range_it_could_not_fork_for(self, monkeypatch):
-        net = NETWORKS["sparse"]()
-        expected = one_process_values(net)
-
-        def refused():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", refused)
-        values, forks = swept(net)
-        assert forks == 0
-        assert values.tobytes() == expected.tobytes()
-
-    def test_a_failing_parent_kills_and_reaps_its_children(self, monkeypatch):
-        net = NETWORKS["sparse"]()
-        parent = os.getpid()
-
-        def failing(values, reduced, base, nodes):
-            if os.getpid() == parent:
-                raise RuntimeError("parent failed")
-            time.sleep(30)  # a child ends only when it is killed
-
-        monkeypatch.setattr(heterogeneity, "_fill", failing)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="parent failed"):
-            swept(net)
-        assert time.perf_counter() - start < 20
-        assert_no_child_left()
-        assert net._local is None
 
     def test_c8_reruns_are_byte_identical_with_the_split_forced(self, tmp_path):
         # acceptance c8 on its schedule, in child processes that split every sweep between two processes

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,7 @@ from schednet import (
     generate_dag,
     metric_suite,
     metric_vector,
+    prune_isolated,
     reachability_table,
     rh_local_all,
     tail_distribution,
@@ -32,6 +37,7 @@ from oracles import (
     dict_betweenness,
     dict_closeness,
     enumerate_betweenness,
+    forced_split,
     make_network,
     make_records,
     random_network,
@@ -43,6 +49,12 @@ from oracles import (
 C7 = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
 # denser and deeper: n=1560, 325k reachable pairs
 DEEP = GeneratorConfig(layer_count=40, layer_width=40, edge_probability=0.015, skip_depth=3, seed=13)
+# perfbench's screen-10k topology: n=9125 once pruned, 2.44M reachable pairs
+SCREEN_10K = GeneratorConfig(layer_count=200, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11)
+# perfbench's analyze-small-batch topologies at seed 0 (n about 96)
+SMALL_BATCH = [
+    GeneratorConfig(layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3, seed=seed) for seed in range(200)
+]
 
 
 PATH_METRICS = ("betweenness", "closeness", "reverse_closeness")
@@ -54,12 +66,20 @@ BATCH_LIMITS = {
     "one pair per batch": lambda n: (DEFAULT_LIMITS(n)[0], 1),
     "default": DEFAULT_LIMITS,
 }
+# CPUs the search may split between, whatever its size: None keeps the default threshold
+SPLITS = {"default threshold": None, "forced, 2 CPUs": 2, "forced, 3 CPUs": 3}
 
 
 def relabelled(net, perm):
     """The same network with node i renamed so that it gets index ``perm[i]``."""
     ids = [f"r{p:05d}" for p in perm]
     return build_network(make_records(ids), [Dependency(ids[s], ids[t]) for s, t in net.edges])
+
+
+def cuts(net):
+    """The search's cut points of ``net``'s batch list at the default limits and threshold."""
+    table = reachability_table(net)
+    return metrics._cuts(net, table, metrics._batches(net.n, table.descendant_counts)[0])
 
 
 def path_metrics(net):
@@ -165,11 +185,18 @@ class TestShortestPathFloatPath:
     @staticmethod
     def assert_same_bytes(net, monkeypatch):
         reference = (dict_betweenness(net), dict_closeness(net), dict_closeness(net, reversed_edges=True))
-        for setting, limits in BATCH_LIMITS.items():
+        for (setting, limits), (split, cpus) in itertools.product(BATCH_LIMITS.items(), SPLITS.items()):
             monkeypatch.setattr(metrics, "_limits", limits)
             fresh = ActivityNetwork(net.nodes, net.edges)  # a kept search would hide the new limits
-            for name, got, want in zip(PATH_METRICS, path_metrics(fresh), reference):
-                assert got.tobytes() == want.tobytes(), (name, setting)
+            if cpus is None:
+                got = path_metrics(fresh)
+            else:
+                with forced_split(metrics, "_SPLIT_PAIRS", 0, cpus) as forks:
+                    got = path_metrics(fresh)
+                batches = len(metrics._batches(net.n, reachability_table(net).descendant_counts)[0])
+                assert (1 if batches > 1 else 0) <= len(forks) < cpus, (setting, split)
+            for name, got, want in zip(PATH_METRICS, got, reference):
+                assert got.tobytes() == want.tobytes(), (name, setting, split)
 
     def test_c7_topology(self, monkeypatch):
         self.assert_same_bytes(generate_dag(C7), monkeypatch)
@@ -180,6 +207,17 @@ class TestShortestPathFloatPath:
         bounds, _ = metrics._batches(net.n, reachability_table(net).descendant_counts)
         assert len(bounds) >= 10 and min(stop - start for start, stop in bounds) >= 2
         self.assert_same_bytes(net, monkeypatch)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the search splits by os.fork")
+    def test_deep_topology_at_every_cut_point(self):
+        net = generate_dag(DEEP)
+        bounds, stamp = metrics._batches(net.n, reachability_table(net).descendant_counts)
+        expected = [part.tobytes() for part in metrics._scores(net, bounds, stamp, [0, len(bounds)])]
+        for cut in range(1, len(bounds)):
+            got = metrics._scores(net, bounds, stamp, [0, cut, len(bounds)])
+            assert [part.tobytes() for part in got] == expected, cut
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dense_schedules(self, monkeypatch):
         for seed in range(24):
@@ -198,13 +236,46 @@ class TestShortestPathFloatPath:
 
 
 class TestShortestPathMemory:
-    def test_each_call_peaks_under_the_kept_closure(self):
+    def test_each_call_peaks_under_the_kept_closure(self, monkeypatch):
         # a batch holds visit stamps and its own levels: no n-wide float rows, no whole pair list
+        monkeypatch.setattr(metrics, "_SPLIT_PAIRS", math.inf)  # in one process; the split has its own test
         screening = screening_network()
         for name in PATH_METRICS:
             net = ActivityNetwork(screening.nodes, screening.edges)  # each metric runs the whole search
             reachability_table(net)  # the kept closure is the input, not working memory
             assert traced_peak(metric_vector, net, name) < net.n * net.n / 8, name
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the search splits by os.fork")
+    def test_a_split_call_never_holds_a_child_stream_whole(self):
+        # the child's stream, 16 bytes a reached pair, is larger than the bound, and it is taken one batch at a time
+        net = screening_network()
+        table = reachability_table(net)
+        bounds = metrics._batches(net.n, table.descendant_counts)[0]
+        with forced_split(metrics, "_SPLIT_PAIRS") as forks:
+            lo = bounds[cuts(net)[1]][0]
+            assert 16 * table.descendant_counts[lo:].sum() > net.n * net.n / 8
+            peak = traced_peak(metric_vector, net, "betweenness")
+        assert len(forks) == 1
+        assert peak < net.n * net.n / 8
+
+
+class TestSplitSearch:
+    def test_splits_only_above_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert len(cuts(generate_dag(C7))) == 2
+        for config in SMALL_BATCH:
+            assert len(cuts(generate_dag(config))) == 2, config.seed
+        assert len(cuts(prune_isolated(generate_dag(SCREEN_10K)))) == 3
+
+    def test_the_processes_get_about_equal_costs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        net = generate_dag(DEEP)
+        table = reachability_table(net)
+        bounds = metrics._batches(net.n, table.descendant_counts)[0]
+        points = cuts(net)
+        assert points[0] == 0 and points[-1] == len(bounds) and len(points) == 4
+        pairs = [table.descendant_counts[bounds[lo][0]:bounds[hi - 1][1]].sum() for lo, hi in zip(points, points[1:])]
+        assert max(pairs) < 1.5 * min(pairs)
 
 
 class TestNetworkxOracle:
