@@ -232,7 +232,7 @@ def _sweep(reduced: _ReducedReach, base: float, cuts: list[int]) -> np.ndarray:
     def consume(nodes: range, records) -> None:
         values[nodes.start:nodes.stop] = next(records)
 
-    split([range(lo, hi) for lo, hi in zip(cuts, cuts[1:])], produce, consume)
+    split(cuts, produce, consume)
     return values
 
 

@@ -179,7 +179,7 @@ def _scores(
             away[start:stop] = next(records)
         np.add(into, next(records), out=into)
 
-    split([range(lo, hi) for lo, hi in zip(cuts, cuts[1:])], produce, consume, kept=(score, into))
+    split(cuts, produce, consume, kept=(score, into))
     return score, away, into
 
 

@@ -70,16 +70,18 @@ def processes(limit: int) -> int:
 
 
 def split(
-    ranges: list[range],
+    cuts: list[int],
     produce: Callable[[range], Iterator[np.ndarray]],
     consume: Callable[[range, Iterator[np.ndarray]], None],
     kept: tuple[np.ndarray, ...] = (),
 ) -> None:
-    """``consume(r, produce(r))`` for every range r in order, the first here and each other one in a child.
+    """``consume(r, produce(r))`` for each range r = ``range(cuts[w], cuts[w + 1])`` in order, the first here.
 
-    See the module docstring. ``consume`` reads a child's arrays from an
-    iterator that raises ``EOFError`` where the stream ends early.
+    Each other range runs in a child (see the module docstring).
+    ``consume`` reads a child's arrays from an iterator that raises
+    ``EOFError`` where the stream ends early.
     """
+    ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     children = []
     # one CPU each, where the mask is known: a new child can wait for the scheduler to move it off this CPU
     cpus = sorted(os.sched_getaffinity(0)) if len(ranges) > 1 and hasattr(os, "sched_getaffinity") else []

@@ -191,7 +191,7 @@ class TestSplitHelper:
         def produce(part):
             yield np.array(sorted(os.sched_getaffinity(0)))
 
-        parallel.split([range(0, 1), range(1, 2)], produce, lambda part, records: seen.append(next(records).tolist()))
+        parallel.split([0, 1, 2], produce, lambda part, records: seen.append(next(records).tolist()))
         assert seen == [[mask[0]], [mask[1]]]
         assert sorted(os.sched_getaffinity(0)) == mask
         assert_no_child_left()
