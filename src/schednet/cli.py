@@ -539,7 +539,78 @@ def _sha256(data: bytes) -> str:
 
 
 def _json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte for byte; keys must be str.
+
+    CPython encodes an indented dump in pure Python, so this writes the
+    layout itself, with ``%s`` for each key and scalar, and encodes those
+    in one compact ``json.dumps`` of a list, which runs on the C encoder.
+    No encoded scalar holds ",\n", so that dump splits on it into them.
+    """
+    pieces: list[str] = []
+    scalars: list[Any] = []
+    _layout(payload, "\n", pieces, scalars)
+    encoded = json.dumps(scalars, separators=(",\n", ":"))[1:-1].split(",\n") if scalars else []
+    return "".join(pieces) % tuple(encoded) + "\n"
+
+
+def _layout(value: Any, indent: str, pieces: list[str], scalars: list[Any]) -> None:
+    """Append ``value``'s layout at ``indent`` (a newline and its spaces) to ``pieces``, and its scalars in order."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        opening = "{"
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            pieces.append(opening + inner + "%s: ")
+            scalars.append(key)
+            _layout(item, inner, pieces, scalars)
+            opening = ","
+        pieces.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        rows = _rows(value, inner)
+        if rows is not None:  # one layout for every item
+            pieces.append("[" + inner + ("," + inner).join([rows[0]] * len(value)) + indent + "]")
+            scalars += rows[1]
+            return
+        opening = "["
+        for item in value:
+            pieces.append(opening + inner)
+            _layout(item, inner, pieces, scalars)
+            opening = ","
+        pieces.append(indent + "]")
+    elif isinstance(value, dict):
+        pieces.append("{}")
+    elif isinstance(value, (list, tuple)):
+        pieces.append("[]")
+    else:
+        pieces.append("%s")
+        scalars.append(value)
+
+
+def _rows(items: Sequence[Any], indent: str) -> tuple[str, list[Any]] | None:
+    """One layout for every item of ``items`` at ``indent``, and all their scalars in order; or None.
+
+    There is one where every item is a dict with the same str keys, or
+    every item a list of the same length, and no item holds a container.
+    """
+    first, inner = items[0], indent + "  "
+    if type(first) is dict and first:
+        keys = sorted(first)
+        if not all(type(key) is str for key in keys) or not all(
+            type(item) is dict and item.keys() == first.keys() for item in items
+        ):
+            return None
+        names = [json.dumps(key).replace("%", "%%") for key in keys]
+        layout = "{" + ",".join(inner + name + ": %s" for name in names) + indent + "}"
+        cells = [item[key] for item in items for key in keys]
+    elif type(first) is list and first:
+        if not all(type(item) is list and len(item) == len(first) for item in items):
+            return None
+        layout = "[" + ",".join([inner + "%s"] * len(first)) + indent + "]"
+        cells = [cell for item in items for cell in item]
+    else:
+        return None
+    return None if any(isinstance(cell, (dict, list, tuple)) for cell in cells) else (layout, cells)
 
 
 def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:

@@ -273,7 +273,7 @@ class _ReducedReach:
         self.slot = np.arange(n)
         self.patched = np.empty(0, dtype=np.int64)
         self.first, self.degree, self.targets = _successor_csr(network)
-        self.height = _heights(network.successor_lists, order)
+        self.height = _heights(network)
         budget, nbytes = _run_budget(n), self.rows.shape[1]
         # rows per run, one per node of each cone anc(k) + {k}: as many as fill the budget, at least the largest cone
         fill = min(budget // max(nbytes, 1), table.pair_count + n)

@@ -16,21 +16,22 @@ bytes at any number of processes. The acceptance-c7 closure (15.8k
 pairs) and the analyze-small-batch ones (about 3k) stay under it. The
 threshold is measured as split over one-process search time, median of
 15 alternating in-process pairs on a 2-vCPU VM (one BLAS thread, closure
-built beforehand), on grids of three shapes: 1.17-2.01 on the four
-networks of 13-41k pairs (c7: 1.58), 0.80-0.96 on the seven of 36-99k,
-which won 9-12 of the 15 pairs, and 0.67-0.91 on the six of 123-325k,
-which won 8-15.
+built beforehand), on grids of three shapes: 1.11-2.11 on six networks
+of 13-57k pairs (c7: 1.53), which won 0-3 of the 15 pairs, 0.94 on one
+of 48k, 0.82 on one of 88k, and 0.66-0.74 on the five of 123-378k, which
+won 14-15.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .heterogeneity import rh_local_all
-from .network import ActivityNetwork, _heights, _successor_csr, topological_order
+from .network import ActivityNetwork, _heights, _successor_csr
 from .parallel import processes, split
 from .reachability import ReachabilityTable, closure, reachability_table
 
@@ -104,17 +105,18 @@ def closeness(network: ActivityNetwork, reversed_edges: bool = False) -> MetricV
 def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, MetricVector]:
     """Betweenness, closeness and reverse closeness from one search, kept on the network.
 
-    Batches of consecutive sources, sized by the closure's descendant
-    counts, are searched in turn (:func:`_search`) over CSR arrays of the
-    sorted edges, so each node's successors come in ascending order. Above
+    Batches of consecutive sources, sized from the closure's rows and
+    descendant counts (:func:`_batches`), are searched in turn
+    (:func:`_search`) over CSR arrays of the sorted edges, so each node's
+    successors come in ascending order. Above
     ``_SPLIT_PAIRS`` reachable pairs the batches are split between
     processes (:func:`_cuts`), with the same bits.
     """
     if network._paths is None:
         n = network.n
         table = closure(network)
-        bounds, stamp = _batches(n, table.descendant_counts)
-        score, away, into = _scores(network, bounds, stamp, _cuts(network, table, bounds))
+        bounds, stamp = _batches(table)
+        score, away, into = _scores(network, table._rows, bounds, stamp, _cuts(network, table, bounds))
         vectors = [MetricVector("betweenness", score)]
         names = ("closeness", "reverse_closeness")
         for name, r, total in zip(names, (table.descendant_counts, table.ancestor_counts), (away, into)):
@@ -127,7 +129,7 @@ def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, Metric
 
 
 _SPLIT_PAIRS = 100_000  # closures with more reachable pairs split the search between processes (measured)
-_LEVEL_PAIRS = 256  # a search level's fixed numpy cost, in reached pairs (measured)
+_LEVEL_PAIRS = 256  # a search level's fixed numpy cost, in reached pairs (measured: 220-250)
 
 
 def _cuts(network: ActivityNetwork, table: ReachabilityTable, bounds: list[tuple[int, int]]) -> list[int]:
@@ -143,7 +145,7 @@ def _cuts(network: ActivityNetwork, table: ReachabilityTable, bounds: list[tuple
     if workers == 1:
         return [0, len(bounds)]
     starts = [start for start, _ in bounds]
-    height = _heights(network.successor_lists, topological_order(network))
+    height = _heights(network)
     cost = np.add.reduceat(table.descendant_counts, starts) + _LEVEL_PAIRS * (np.maximum.reduceat(height, starts) + 1)
     cumulative = np.cumsum(cost)
     shares = cumulative[-1] * np.arange(1, workers) / workers
@@ -151,7 +153,7 @@ def _cuts(network: ActivityNetwork, table: ReachabilityTable, bounds: list[tuple
 
 
 def _scores(
-    network: ActivityNetwork, bounds: list[tuple[int, int]], stamp: np.ndarray, cuts: list[int]
+    network: ActivityNetwork, rows: np.ndarray, bounds: list[tuple[int, int]], stamp: np.ndarray, cuts: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Betweenness scores and the int64 distance sums from and to each node.
 
@@ -170,7 +172,7 @@ def _scores(
     def produce(batches: range):
         sums = np.zeros(n, dtype=np.int64)
         for start, stop in bounds[batches.start:batches.stop]:
-            yield from _search(adjacency, np.arange(start, stop), stamp, sums)
+            yield from _search(adjacency, rows, start, stop, stamp, sums)
         yield sums
 
     def consume(batches: range, records) -> None:
@@ -183,99 +185,148 @@ def _scores(
     return score, away, into
 
 
-def _search(adjacency, sources: np.ndarray, stamp: np.ndarray, into: np.ndarray) -> Iterator[np.ndarray]:
-    """Brandes' search from one batch of sources.
+def _search(
+    adjacency, rows: np.ndarray, start: int, stop: int, stamp: np.ndarray, into: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Brandes' search from the batch of sources ``start`` to ``stop - 1``.
 
-    ``sigma`` goes forward over the levels (:func:`_levels`) and ``delta``
-    back; each reached pair's depth also goes to its node's entry of
-    ``into``. It yields the reached nodes and their dependencies, both in
-    ascending source order, then the sources' int64 distance sums. The
-    batch's arrays die before the next batch's levels.
+    The batch works over U, the nodes its sources reach and the sources
+    themselves (:func:`_reached`), numbered in ascending order, and over
+    the successor CSR cut to U. ``sigma`` goes forward over the levels
+    (:func:`_levels`) and ``delta`` back; each level's pairs add their
+    depth to their source's and their node's exact int64 distance sums,
+    the latter in ``into``. It yields the reached nodes and their
+    dependencies, both in ascending source order, then the sources'
+    distance sums. The batch's arrays die before the next batch's levels.
     """
-    n, width = len(into), len(sources)
-    levels = list(_levels(adjacency, n, sources, stamp))
+    nodes = np.flatnonzero(_reached(rows, start, stop)).astype(np.int32)
+    m, width = len(nodes), stop - start
+    first, degree, targets = adjacency
+    count = degree[nodes]
+    # the successor CSR cut to U, in U's numbering: every successor of a node of U is in U
+    heads = np.searchsorted(nodes, targets[_spans(first[nodes], count)]).astype(np.int32)
+    sources = np.searchsorted(nodes, np.arange(start, stop))
+    levels = list(_levels((np.cumsum(count) - count, count, heads), m, sources, stamp))
     sigma = [np.ones(width)]
-    for keys, parent, child in levels:
+    away, near = np.zeros(width, dtype=np.int64), np.zeros(m, dtype=np.int64)  # exact distance sums
+    for depth, (keys, parent, child) in enumerate(levels, 1):
         sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
+        away += depth * np.bincount(keys // m, minlength=width)
+        near += depth * np.bincount(keys % m, minlength=m)
+    into[nodes] += near
     # an empty first piece, so a batch that reaches nothing gives empty arrays
-    reached, dependency = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    reached, dependency = [np.empty(0, dtype=np.int32)], [np.empty(0)]
     delta = np.zeros(len(sigma[-1]))
     while levels:  # deepest first, dropping each level once it is used
         keys, parent, child = levels.pop()
         reached.append(keys)
         dependency.append(delta)
         coeff = (1.0 + delta) / sigma.pop()
-        order = np.argsort(-child, kind="stable")
+        descending = len(keys) - 1 - child  # by child, descending; numpy sorts 16-bit keys stably by radix
+        order = np.argsort(descending.astype(np.uint16) if len(keys) <= 1 << 16 else descending, kind="stable")
         parent = parent[order]
         up = sigma[-1]
         delta = np.bincount(parent, weights=up[parent] * coeff[child[order]], minlength=len(up))
-    depth = np.repeat(np.arange(len(reached), 0, -1, dtype=np.int32), [len(k) for k in reached])
     reached, dependency = np.concatenate(reached), np.concatenate(dependency)  # frees the level lists
-    source = reached // n
+    source = (reached // m).astype(np.int16)  # at most 2**15 sources (_batches), so a radix sort below
+    reached %= m
     order = np.argsort(source, kind="stable")
-    total = np.bincount(source, weights=depth, minlength=width)  # float sums, exact below 2**53
-    reached %= n  # the reached nodes
-    into += np.bincount(reached, weights=depth, minlength=n).astype(np.int64)
-    yield reached[order]
-    yield dependency[order]
-    yield total.astype(np.int64)
+    del source  # each array goes once used, so about _PAIR_BYTES a pair are alive at most
+    dependency = dependency[order]
+    reached = nodes[reached[order]]
+    del order
+    yield reached
+    yield dependency
+    yield away
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions ``first[i]`` to ``first[i] + count[i] - 1`` for each i in turn, as one array."""
+    shift = np.repeat(first - (np.cumsum(count) - count), count)
+    return shift + np.arange(len(shift))
+
+
+def _reached(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Which nodes the sources ``start`` to ``stop - 1`` reach, or are: the OR of their closure rows, unpacked."""
+    inside = np.unpackbits(np.bitwise_or.reduce(rows[start:stop]), count=len(rows), bitorder="little").view(bool)
+    inside[start:stop] = True
+    return inside
+
+
+_PAIR_BYTES = 30  # the most bytes a reached pair holds at once in a batch's arrays (measured: 29.8)
 
 
 def _limits(n: int) -> tuple[int, int]:
-    """The most sources, and the most reached (source, node) pairs, in one batch.
+    """The most reached (source, node) pairs, and the most visit stamps, in one batch.
 
-    A batch's int32 visit stamps take half the bytes of the kept closure,
-    n*n/8, but at least 512 KB and at most 8 MB; its reached pairs number
-    at most a 32nd of its stamps.
+    Both are shares of the kept closure's n*n/8 bytes: the int32 stamps
+    take a quarter, and the pairs, at ``_PAIR_BYTES`` each, three eighths.
+    A network too small for 8192 pairs or 65536 stamps gets that many, and
+    the stamps stay under 2**30, so no int32 key overflows.
     """
-    stamps = min(max(n * n // 64, 1 << 17), 1 << 21)
-    return max(1, min(n, stamps // max(n, 1))), stamps // 32
+    closure = n * n // 8
+    pairs = max(closure * 3 // 8 // _PAIR_BYTES, 1 << 13)
+    return pairs, min(max(closure // 16, 1 << 16), 1 << 30)
 
 
-def _batches(n: int, reach: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _batches(table: ReachabilityTable) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Runs ``(start, stop)`` of consecutive sources, and the stamps they share.
 
-    ``reach`` holds each source's count of reached nodes. A run keeps to
-    both limits, but it always holds at least one source.
+    A run keeps to both limits of :func:`_limits`: the pairs its sources
+    reach, from the closure's descendant counts, and its sources times the
+    nodes of its U (:func:`_reached`). U holds the run's sources and its
+    first source's reach, so a run starts no wider than that allows, and
+    never holds more than 2**15 sources; where its U still takes too many
+    stamps, it is cut to as many sources as fit with all of that U, which
+    fewer sources never outgrow. A run always holds at least one source,
+    and the stamps fit the largest run.
     """
-    size, pairs = _limits(n)
+    rows, reach = table._rows, table.descendant_counts
+    n = len(reach)
+    pairs, stamps = _limits(n)
     cumulative = np.concatenate(([0], np.cumsum(reach)))
-    bounds, start = [], 0
+    bounds, start, most = [], 0, 0
     while start < n:
         limit = int(np.searchsorted(cumulative, cumulative[start] + pairs, side="right")) - 1
-        stop = max(min(start + size, n, limit), start + 1)
+        widest = min(math.isqrt(stamps), stamps // (int(reach[start]) + 1))
+        stop = max(min(start + widest, limit), start + 1)
+        size = int(np.count_nonzero(_reached(rows, start, stop)))
+        if (stop - start) * size > stamps:
+            stop = start + max(1, stamps // size)
+            size = int(np.count_nonzero(_reached(rows, start, stop)))
+        most = max(most, (stop - start) * size)
         bounds.append((start, stop))
         start = stop
-    return bounds, np.full(max((stop - start for start, stop in bounds), default=0) * n, -1, dtype=np.int32)
+    return bounds, np.full(most, -1, dtype=np.int32)
 
 
 def _levels(
-    adjacency: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, sources: np.ndarray, stamp: np.ndarray
+    adjacency: tuple[np.ndarray, np.ndarray, np.ndarray], m: int, sources: np.ndarray, stamp: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Breadth-first levels of a batch of sources, searched together.
+    """Breadth-first levels of a batch of sources, searched together over the m nodes of ``adjacency``.
 
-    The pair (source b of the batch, node w) is the key ``b * n + w``, and
-    ``stamp[key]`` turns non-negative once the pair is reached. For each
-    level after the sources this yields ``(keys, parent, child)``: ``keys``
-    holds the level's new pairs in discovery order, and each edge that
-    ends a shortest path in the level is one entry of ``parent`` (the
-    position of its tail among the previous level's keys) and of ``child``
-    (the position of its head among ``keys``), in queue-then-adjacency
-    order. Stamping the edges' positions in reverse leaves each new pair's
-    first occurrence in its stamp (numpy assigns repeated indices in
-    order, so the last write wins), and the discovery order needs no sort.
-    The stamps are back at -1 once the batch is done.
+    The pair (source b of the batch, node w of U) is the int32 key
+    ``b * m + w``, and ``stamp[key]`` turns non-negative once the pair is
+    reached. For each level after the sources this yields
+    ``(keys, parent, child)``: ``keys`` holds the level's new pairs in
+    discovery order, and each edge that ends a shortest path in the level
+    is one entry of ``parent`` (the position of its tail among the
+    previous level's keys) and of ``child`` (the position of its head
+    among ``keys``), in queue-then-adjacency order. Stamping the edges'
+    positions in reverse leaves each new pair's first occurrence in its
+    stamp (numpy assigns repeated indices in order, so the last write
+    wins), and the discovery order needs no sort. The stamps are back at
+    -1 once the batch is done.
     """
     start, degree, neighbours = adjacency
-    keys = np.arange(len(sources), dtype=np.int64) * n + sources
+    keys = np.arange(len(sources), dtype=np.int32) * m + sources.astype(np.int32)
     stamp[keys] = 0
     visited = [keys]
     while True:
-        nodes = keys % n
+        nodes = keys % m
         count = degree[nodes]
         parent = np.repeat(np.arange(len(keys), dtype=np.int32), count)
-        shift = np.repeat(start[nodes] - (np.cumsum(count) - count), count)
-        head = np.repeat(keys - nodes, count) + neighbours[shift + np.arange(len(parent))]
+        head = np.repeat(keys - nodes, count) + neighbours[_spans(start[nodes], count)]
         fresh = stamp[head] < 0
         parent, head = parent[fresh], head[fresh]
         if not len(head):

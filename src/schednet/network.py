@@ -66,15 +66,16 @@ class ActivityNetwork:
     that order, so identical inputs always produce identical indexing.
     Edges are deduplicated ``(source index, target index)`` pairs held in
     sorted order. Instances are read-only once constructed and safe to
-    share between threads. The topological order, the transitive closure,
-    the local-RH vector and the three shortest-path metric vectors are
-    built on first use and kept: a kept closure holds n²/8 bytes of packed
-    rows (182 KB at n=1208, 10.4 MB at n=9125), the local-RH vector 8n
-    bytes more and the shortest-path vectors 24n. Two threads may both
-    build on first use; the results are identical, so the race is harmless.
+    share between threads. The topological order, the node heights, the
+    transitive closure, the local-RH vector and the three shortest-path
+    metric vectors are built on first use and kept: a kept closure holds
+    n²/8 bytes of packed rows (182 KB at n=1208, 10.4 MB at n=9125), the
+    heights and the local-RH vector 8n bytes each and the shortest-path
+    vectors 24n. Two threads may both build on first use; the results are
+    identical, so the race is harmless.
     """
 
-    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_closure", "_local", "_paths")
+    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_height", "_closure", "_local", "_paths")
 
     def __init__(self, nodes: Sequence[ActivityRecord], edges: Iterable[tuple[int, int]]) -> None:
         self.nodes: tuple[ActivityRecord, ...] = tuple(nodes)
@@ -95,8 +96,8 @@ class ActivityNetwork:
             pred[t].append(s)
         self._succ: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in succ)
         self._pred: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in pred)
-        # kept by topological_order, reachability.closure, heterogeneity.rh_local_all and metrics._paths
-        self._order = self._closure = self._local = self._paths = None
+        # kept by topological_order, _heights, reachability.closure, heterogeneity.rh_local_all and metrics._paths
+        self._order = self._height = self._closure = self._local = self._paths = None
 
     @property
     def n(self) -> int:
@@ -237,13 +238,18 @@ def _successor_csr(network: ActivityNetwork) -> tuple[np.ndarray, np.ndarray, np
     return np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64)
 
 
-def _heights(succ: Sequence[Sequence[int]], order: list[int]) -> np.ndarray:
-    """Each node's longest path to a sink, in edges, from its successor lists and a topological order."""
-    height = [0] * len(succ)
-    for i in reversed(order):
-        if succ[i]:
-            height[i] = 1 + max(height[j] for j in succ[i])
-    return np.array(height, dtype=np.int64)
+def _heights(network: ActivityNetwork) -> np.ndarray:
+    """Each node's longest path to a sink, in edges: derived once per network and kept, read-only."""
+    if network._height is None:
+        succ = network.successor_lists
+        height = [0] * network.n
+        for i in reversed(topological_order(network)):
+            if succ[i]:
+                height[i] = 1 + max(height[j] for j in succ[i])
+        kept = np.array(height, dtype=np.int64)
+        kept.setflags(write=False)
+        network._height = kept
+    return network._height
 
 
 def prune_isolated(network: ActivityNetwork) -> ActivityNetwork:

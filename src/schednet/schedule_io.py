@@ -2,7 +2,7 @@
 
 File formats:
   activities CSV:   header ``id,name,planned_start,planned_end,actual_start,actual_end``
-                    with ISO-8601 dates; the two actual fields may be empty.
+                    with dates as YYYY-MM-DD; the two actual fields may be empty.
   dependencies CSV: header ``predecessor,successor``.
   network JSON:     ``{"nodes": [{"id": ...}, ...], "edges": [[src, dst], ...]}``
                     with edge indices referencing node array order.
@@ -11,6 +11,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import re
 from datetime import date
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -153,8 +154,8 @@ def network_from_json(data: dict[str, Any]) -> ActivityNetwork:
         ActivityRecord(
             id=node["id"],
             name=node.get("name", ""),
-            planned_start=date.fromisoformat(node["planned_start"]),
-            planned_end=date.fromisoformat(node["planned_end"]),
+            planned_start=_iso_date(node["planned_start"]),
+            planned_end=_iso_date(node["planned_end"]),
             actual_start=_opt_iso(node.get("actual_start")),
             actual_end=_opt_iso(node.get("actual_end")),
         )
@@ -166,14 +167,24 @@ def network_from_json(data: dict[str, Any]) -> ActivityNetwork:
 
 
 def _opt_iso(value: str | None) -> date | None:
-    return date.fromisoformat(value) if value else None
+    return _iso_date(value) if value else None
+
+
+# the one form date.fromisoformat reads on every supported Python: 3.11 and later also read 20210104 and 2021-W01-1
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_date(text: str) -> date:
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"invalid ISO date {text!r}, expected YYYY-MM-DD")
+    return date.fromisoformat(text)
 
 
 def _parse_date(text: str, field: str) -> date:
     if not text:
         raise ValueError(f"{field} is required")
     try:
-        return date.fromisoformat(text)
+        return _iso_date(text)
     except ValueError:
         raise ValueError(f"{field}: invalid ISO date {text!r}") from None
 

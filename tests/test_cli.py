@@ -388,9 +388,9 @@ class TestAnalyze:
         searches = []
         batches = schednet.metrics._batches
 
-        def counted(n, reach):
-            searches.append(n)
-            return batches(n, reach)
+        def counted(table):
+            searches.append(table)
+            return batches(table)
 
         monkeypatch.setattr(schednet.metrics, "_batches", counted)  # sizes the batches once per search
         assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "out")]) == 0
@@ -962,3 +962,38 @@ def test_mutated_schedules_exit_with_a_documented_code_and_an_error_line(activit
             assert code in (0, 2, 3, 4, 5), argv
             if code:
                 assert any(line.startswith("error: ") for line in err.getvalue().splitlines()), (argv, err.getvalue())
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(), max_size=6)
+# lists of dicts with one key set and lists of one length, whose layout the renderer writes once per list,
+# and lists of lists of mixed lengths, which it lays out item by item
+JSON_ROWS = (
+    st.sets(st.text(st.sampled_from('ab%s"\\\né'), max_size=3), min_size=1, max_size=3).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({key: JSON_SCALARS for key in keys}), min_size=1, max_size=4)
+    )
+    | st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(JSON_SCALARS, min_size=k, max_size=k), min_size=1, max_size=4))
+    | st.lists(st.lists(JSON_SCALARS, min_size=1, max_size=3), min_size=2, max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | JSON_ROWS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(payload=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+def test_json_artifacts_have_the_bytes_of_an_indented_dump(payload):
+    assert schednet.cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_json_file_of_c7_has_the_bytes_of_an_indented_dump(tmp_path):
+    a, d = c7_files(tmp_path)
+    assert main(["analyze", str(a), str(d), "--out", str(tmp_path / "analyze")]) == 0
+    assert main(["validate", str(a), str(d), "--out", str(tmp_path / "validate")]) == 0
+    assert main(["generate", "--seed", "7", "--out", str(tmp_path / "generate")]) == 0
+    files = sorted(tmp_path.glob("*/*.json"))
+    assert len(files) == 7  # analyze's network, rh, bins, benchmark and manifest, validate.json and generate's manifest
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name

@@ -60,10 +60,10 @@ SMALL_BATCH = [
 PATH_METRICS = ("betweenness", "closeness", "reverse_closeness")
 
 DEFAULT_LIMITS = metrics._limits
-# batch limits (most sources, most reached pairs) under which the bits must hold
+# batch limits (most reached pairs, most visit stamps) under which the bits must hold
 BATCH_LIMITS = {
-    "one source per batch": lambda n: (1, DEFAULT_LIMITS(n)[1]),
-    "one pair per batch": lambda n: (DEFAULT_LIMITS(n)[0], 1),
+    "one source per batch": lambda n: (DEFAULT_LIMITS(n)[0], 1),
+    "one pair per batch": lambda n: (1, DEFAULT_LIMITS(n)[1]),
     "default": DEFAULT_LIMITS,
 }
 # CPUs the search may split between, whatever its size: None keeps the default threshold
@@ -79,7 +79,7 @@ def relabelled(net, perm):
 def cuts(net):
     """The search's cut points of ``net``'s batch list at the default limits and threshold."""
     table = reachability_table(net)
-    return metrics._cuts(net, table, metrics._batches(net.n, table.descendant_counts)[0])
+    return metrics._cuts(net, table, metrics._batches(table)[0])
 
 
 def path_metrics(net):
@@ -185,7 +185,10 @@ class TestShortestPathFloatPath:
     @staticmethod
     def assert_same_bytes(net, monkeypatch):
         reference = (dict_betweenness(net), dict_closeness(net), dict_closeness(net, reversed_edges=True))
-        for (setting, limits), (split, cpus) in itertools.product(BATCH_LIMITS.items(), SPLITS.items()):
+        reach = int(reachability_table(net).descendant_counts.max())
+        # stamps for one source's reach and itself: every wider batch whose U is larger is cut to fit
+        one_reach = {"stamps for one source's reach": lambda n: (DEFAULT_LIMITS(n)[0], reach + 1)}
+        for (setting, limits), (split, cpus) in itertools.product({**BATCH_LIMITS, **one_reach}.items(), SPLITS.items()):
             monkeypatch.setattr(metrics, "_limits", limits)
             fresh = ActivityNetwork(net.nodes, net.edges)  # a kept search would hide the new limits
             if cpus is None:
@@ -193,7 +196,7 @@ class TestShortestPathFloatPath:
             else:
                 with forced_split(metrics, "_SPLIT_PAIRS", 0, cpus) as forks:
                     got = path_metrics(fresh)
-                batches = len(metrics._batches(net.n, reachability_table(net).descendant_counts)[0])
+                batches = len(metrics._batches(reachability_table(net))[0])
                 assert (1 if batches > 1 else 0) <= len(forks) < cpus, (setting, split)
             for name, got, want in zip(PATH_METRICS, got, reference):
                 assert got.tobytes() == want.tobytes(), (name, setting, split)
@@ -204,20 +207,60 @@ class TestShortestPathFloatPath:
     def test_deep_topology_across_batches(self, monkeypatch):
         # at the default limits a node's score takes its per-source adds from several batches
         net = generate_dag(DEEP)
-        bounds, _ = metrics._batches(net.n, reachability_table(net).descendant_counts)
+        bounds, _ = metrics._batches(reachability_table(net))
         assert len(bounds) >= 10 and min(stop - start for start, stop in bounds) >= 2
         self.assert_same_bytes(net, monkeypatch)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the search splits by os.fork")
     def test_deep_topology_at_every_cut_point(self):
         net = generate_dag(DEEP)
-        bounds, stamp = metrics._batches(net.n, reachability_table(net).descendant_counts)
-        expected = [part.tobytes() for part in metrics._scores(net, bounds, stamp, [0, len(bounds)])]
+        table = reachability_table(net)
+        bounds, stamp = metrics._batches(table)
+        expected = [part.tobytes() for part in metrics._scores(net, table._rows, bounds, stamp, [0, len(bounds)])]
         for cut in range(1, len(bounds)):
-            got = metrics._scores(net, bounds, stamp, [0, cut, len(bounds)])
+            got = metrics._scores(net, table._rows, bounds, stamp, [0, cut, len(bounds)])
             assert [part.tobytes() for part in got] == expected, cut
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_batches_whose_sources_reach_disjoint_parts(self, monkeypatch):
+        # three random DAGs with interleaved ids, so consecutive sources lie in different components
+        rng = np.random.default_rng(131)
+        ids, pairs = [], []
+        for tag in "abc":
+            part = random_network(rng, n_min=10, n_max=20, p=0.3)
+            names = [f"{i:03d}{tag}" for i in range(part.n)]
+            ids += names
+            pairs += [(names[s], names[t]) for s, t in part.edges]
+        net = make_network(ids, pairs)
+        table = reachability_table(net)
+        rows = np.unpackbits(table._rows, axis=1, count=net.n, bitorder="little").astype(bool)
+        disjoint = [
+            (i, j)
+            for start, stop in metrics._batches(table)[0]
+            for i, j in itertools.combinations(range(start, stop), 2)
+            if rows[i].any() and rows[j].any() and not (rows[i] & rows[j]).any()
+        ]
+        assert disjoint
+        self.assert_same_bytes(net, monkeypatch)
+
+    def test_a_level_of_more_than_65536_pairs(self, monkeypatch):
+        # 300 sources reach some of 4 hubs, then 300 middle nodes through them, then 7 sinks: one batch of every
+        # source has a level too long for 16-bit sort keys, whose pairs' dependencies sum into the hubs'
+        layers = [[f"{tag}{i:03d}" for i in range(k)] for tag, k in (("a", 300), ("h", 4), ("m", 300), ("z", 7))]
+        rng = np.random.default_rng(137)
+        edges = [
+            (tail, heads[j])
+            for tails, heads in zip(layers, layers[1:])
+            for tail in tails
+            for j in rng.choice(len(heads), size=rng.integers(1, len(heads) + 1), replace=False)
+        ]
+        net = make_network([node for layer in layers for node in layer], edges)
+        monkeypatch.setattr(metrics, "_limits", lambda n: (1 << 20, 1 << 20))
+        assert metrics._batches(reachability_table(net))[0] == [(0, net.n)]
+        reference = (dict_betweenness(net), dict_closeness(net), dict_closeness(net, reversed_edges=True))
+        for name, got, want in zip(PATH_METRICS, path_metrics(net), reference):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_dense_schedules(self, monkeypatch):
         for seed in range(24):
@@ -247,13 +290,13 @@ class TestShortestPathMemory:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the search splits by os.fork")
     def test_a_split_call_never_holds_a_child_stream_whole(self):
-        # the child's stream, 16 bytes a reached pair, is larger than the bound, and it is taken one batch at a time
+        # the child's stream, 12 bytes a reached pair, is larger than the bound, and it is taken one batch at a time
         net = screening_network()
         table = reachability_table(net)
-        bounds = metrics._batches(net.n, table.descendant_counts)[0]
+        bounds = metrics._batches(table)[0]
         with forced_split(metrics, "_SPLIT_PAIRS") as forks:
             lo = bounds[cuts(net)[1]][0]
-            assert 16 * table.descendant_counts[lo:].sum() > net.n * net.n / 8
+            assert 12 * table.descendant_counts[lo:].sum() > net.n * net.n / 8
             peak = traced_peak(metric_vector, net, "betweenness")
         assert len(forks) == 1
         assert peak < net.n * net.n / 8
@@ -271,7 +314,7 @@ class TestSplitSearch:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         net = generate_dag(DEEP)
         table = reachability_table(net)
-        bounds = metrics._batches(net.n, table.descendant_counts)[0]
+        bounds = metrics._batches(table)[0]
         points = cuts(net)
         assert points[0] == 0 and points[-1] == len(bounds) and len(points) == 4
         pairs = [table.descendant_counts[bounds[lo][0]:bounds[hi - 1][1]].sum() for lo, hi in zip(points, points[1:])]

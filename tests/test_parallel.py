@@ -33,7 +33,7 @@ KILL_AT = {"local RH": 0, "shortest paths": 3}
 def network(caller):
     if caller == "local RH":
         return NETWORKS["sparse"]()
-    # n=1560, 90 batches at the default limits
+    # n=1560, 43 batches at the default limits
     return generate_dag(GeneratorConfig(layer_count=40, layer_width=40, edge_probability=0.015, skip_depth=3, seed=13))
 
 
@@ -179,6 +179,27 @@ class TestSplitConditions:
         monkeypatch.setattr(os, "fork", counted)
         run(caller, network(caller))
         assert counts == [1]
+
+
+def test_a_network_above_both_thresholds_derives_its_heights_once():
+    # the sweep reads the heights to order its cone rows, and the search to cost its batches
+    writes = []
+
+    class Counted(ActivityNetwork):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            if name == "_height" and value is not None:
+                writes.append(value)
+            super().__setattr__(name, value)
+
+    net = generate_dag(GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7))
+    net = Counted(net.nodes, net.edges)  # the acceptance-c7 topology, which searches in several batches
+    with forced_split(heterogeneity, "_SPLIT_NODES") as forks, forced_split(metrics, "_SPLIT_PAIRS"):
+        rh_local_all(net)
+        metrics._paths(net)
+    assert len(forks) == 2  # one child for each stage
+    assert len(writes) == 1
 
 
 class TestSplitHelper:

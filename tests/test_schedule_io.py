@@ -60,6 +60,18 @@ class TestReadActivities:
             read_activities(write(tmp_path, "a.csv", text))
         assert excinfo.value.line == 3
 
+    # Python 3.11 and later read both forms with date.fromisoformat, and 3.10 neither
+    @pytest.mark.parametrize("form", ["20210106", "2021-W01-3"])
+    def test_only_year_month_day_dates_read_on_every_python(self, tmp_path, form):
+        text = ACTIVITY_CSV.replace("2021-01-06,2021-01-08", f"{form},2021-01-08")
+        with pytest.raises(ScheduleParseError, match=f"planned_start: invalid ISO date '{form}'") as excinfo:
+            read_activities(write(tmp_path, "a.csv", text))
+        assert excinfo.value.line == 3
+        data = network_to_json(build_network(make_records("ab"), [Dependency("a", "b")]))
+        data["nodes"][1]["actual_end"] = form
+        with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
+            network_from_json(data)
+
     def test_line_after_a_two_line_quoted_name_is_the_physical_line(self, tmp_path):
         text = ACTIVITY_CSV.replace("a,Dig,", 'a,"Dig\nsite",').replace("2021-01-06,2021-01-08", "not-a-date,2021-01-08")
         with pytest.raises(ScheduleParseError) as excinfo:
