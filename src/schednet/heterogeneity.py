@@ -79,6 +79,20 @@ times the 5.4 ms of one process, at n=283 0.65-1.3 times as long by the
 host's phase, and from n=344 up 0.57-0.84 of the time on every network
 measured.
 
+On a network of more than ``_SPLIT_ROWS`` nodes, ``rh_global`` splits
+its product the same way (``_global_product``): the rows of ``R @ w`` are
+cut into contiguous ranges of whole ``_product`` blocks, one per process,
+the last range takes the last block, and this process takes the final dot
+over all of y. A row's product depends only on its entries, on w and on
+its 8-row group, so the value keeps its bits. Each process takes its own
+scratch block, so neither copies the other's pages. The threshold is
+measured as split over one-process time, median of 25 alternating
+in-process pairs on a 2-vCPU VM (one BLAS thread, closure built
+beforehand), on the screen-10k grid cut to fewer layers: 1.58 at n=2715
+and 1.14 at n=3618, where a split round trip (about 3.5 ms) outweighs half
+the product, then 0.86 at n=4075, 0.88 at 4534, 0.82 at 5448 and 0.66 at
+9125. c7's topology (n=1208) takes about 1 ms in one process.
+
 The float contract of every RH value is the bits of ``u @ (R @ w)`` with
 ``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread
 and the final dot taken in order over pieces of at most 10,000 entries
@@ -156,8 +170,8 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
     if n <= 2 or table.pair_count == 0:
         return HeterogeneityScore(0.0, n, table.pair_count)
     d, a = table.descendant_counts, table.ancestor_counts
-    inverse, y = _inverse_roots(n), np.empty(n, dtype=np.float64)
-    _product(y, table._rows, np.arange(n), n, inverse[a], np.arange(_layout(n)[1]), _block(n))
+    inverse = _inverse_roots(n)
+    y = _global_product(table._rows, inverse[a], _global_cuts(n))
     return HeterogeneityScore(_rh(_dot(inverse[d], y), d, a), n, table.pair_count)
 
 
@@ -209,6 +223,7 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
 
 
 _SPLIT_NODES = 400  # networks with more nodes split the local-RH sweep between processes (measured)
+_SPLIT_ROWS = 4000  # networks with more nodes split rh_global's product between processes (measured)
 _CHUNK = 1 << 16  # matrix entries per unpack step and per product block
 _GROUP = 8  # rows per aligned block unit of ``_product``
 _DOT = 10_000  # entries per piece of ``_dot``; OpenBLAS runs a dot this long on one thread
@@ -234,6 +249,42 @@ def _sweep(reduced: _ReducedReach, base: float, cuts: list[int]) -> np.ndarray:
 
     split(cuts, produce, consume)
     return values
+
+
+def _global_cuts(n: int) -> list[int]:
+    """Row cuts of ``rh_global``'s product over n rows, one range per process: whole blocks of ``_product``.
+
+    One range unless n exceeds ``_SPLIT_ROWS`` and ``parallel.processes``
+    gives more than one process. Every cut but the last is a multiple of
+    the block step, so each range holds the blocks one process would run;
+    the last range ends at n and so takes the last block.
+    """
+    step, cut = _layout(n)
+    workers = processes(cut // step) if n > _SPLIT_ROWS else 1
+    return [*(cut // step * w // workers * step for w in range(workers)), n]
+
+
+def _global_product(packed: np.ndarray, w: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """``R @ w`` for the closure rows ``packed``, rows ``cuts[p]`` to ``cuts[p + 1] - 1`` taken by process p.
+
+    The cuts are multiples of ``_product``'s block step but the last, n
+    (``_global_cuts``), so every row keeps the bits of one process's product.
+    """
+    n = len(w)
+    y, cut = np.empty(n, dtype=np.float64), _layout(n)[1]
+
+    def produce(rows: range):
+        # only the range that ends at n takes the last block; each process takes its own scratch block,
+        # where one made before the fork would be copied page by page as both write to it
+        take = _product if rows.stop == n else _blocks
+        take(y, packed, np.arange(n), n, w, np.arange(rows.start, min(rows.stop, cut)), _block(n))
+        yield y[rows.start:rows.stop]
+
+    def consume(rows: range, records) -> None:
+        y[rows.start:rows.stop] = next(records)
+
+    split(cuts, produce, consume)
+    return y
 
 
 def _fill(values: np.ndarray, reduced: _ReducedReach, base: float, nodes: range) -> None:
@@ -403,7 +454,8 @@ def _product(
     R is the square 0/1 matrix of the rows ``packed[slot]`` without row
     and column ``k``: the closure without node k, or all of it when ``k``
     is its node count. ``block`` is scratch from ``_block``. ``rows`` are sorted
-    rows below the cut of ``_layout``; ``rh_global`` passes all of them. Every row
+    rows below the cut of ``_layout``; ``rh_global`` passes all of them, or
+    one process's whole blocks of them (``_global_product``). Every row
     gets the bits of the whole-matrix product under one BLAS thread, at
     one and at two threads. OpenBLAS dgemv works on groups of rows and
     gives the ``n % 4`` tail rows to another kernel, splits a large call
@@ -419,16 +471,24 @@ def _product(
     about 0.7 MB of floats where the whole matrix took 666 MB.
     """
     n = len(w)
-    step, cut = _layout(n)
+    cut = _layout(n)[1]
+    _blocks(y, packed, slot, k, w, rows, block)
+    last = block[:n - cut]
+    _put(packed, slot, k, np.arange(cut, n), last)
+    y[cut:] = last @ w
+
+
+def _blocks(
+    y: np.ndarray, packed: np.ndarray, slot: np.ndarray, k: int, w: np.ndarray, rows: np.ndarray, block: np.ndarray
+) -> None:
+    """Set ``y`` to ``R @ w`` at ``rows``, below the last block, in padded blocks of whole 8-row groups (``_product``)."""
+    step = _layout(len(w))[0]
     for start in range(0, len(rows), step):
         at = rows[start:start + step]
         padded = block[:-(-len(at) // _GROUP) * _GROUP]
         _put(packed, slot, k, at, padded[:len(at)])
         padded[len(at):] = 0.0
         y[at] = (padded @ w)[:len(at)]
-    last = block[:n - cut]
-    _put(packed, slot, k, np.arange(cut, n), last)
-    y[cut:] = last @ w
 
 
 def _put(packed: np.ndarray, slot: np.ndarray, k: int, at: np.ndarray, out: np.ndarray) -> None:

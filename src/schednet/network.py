@@ -65,39 +65,42 @@ class ActivityNetwork:
     Nodes are stored in ascending id order and addressed by their index in
     that order, so identical inputs always produce identical indexing.
     Edges are deduplicated ``(source index, target index)`` pairs held in
-    sorted order. Instances are read-only once constructed and safe to
-    share between threads. The topological order, the node heights, the
-    transitive closure, the local-RH vector and the three shortest-path
-    metric vectors are built on first use and kept: a kept closure holds
-    n²/8 bytes of packed rows (182 KB at n=1208, 10.4 MB at n=9125), the
-    heights and the local-RH vector 8n bytes each and the shortest-path
-    vectors 24n. Two threads may both build on first use; the results are
-    identical, so the race is harmless.
+    sorted order; the constructor takes any iterable of int-like pairs, or
+    an integer array of them, and sorts them as the keys ``s * n + t``.
+    Instances are read-only once constructed and safe to share between
+    threads. The topological order, the node heights, the successor CSR
+    arrays, the transitive closure, the local-RH vector and the three
+    shortest-path metric vectors are built on first use and kept: a kept
+    closure holds n²/8 bytes of packed rows (182 KB at n=1208, 10.4 MB at
+    n=9125), the heights and the local-RH vector 8n bytes each, the CSR
+    16n + 8e and the shortest-path vectors 24n. Two threads may both build
+    on first use; the results are identical, so the race is harmless.
     """
 
-    __slots__ = ("nodes", "edges", "index_of", "_succ", "_pred", "_order", "_height", "_closure", "_local", "_paths")
+    __slots__ = (
+        "nodes", "edges", "index_of", "_succ", "_pred",
+        "_order", "_height", "_csr", "_closure", "_local", "_paths",
+    )
 
-    def __init__(self, nodes: Sequence[ActivityRecord], edges: Iterable[tuple[int, int]]) -> None:
+    def __init__(self, nodes: Sequence[ActivityRecord], edges: Iterable[tuple[int, int]] | np.ndarray) -> None:
         self.nodes: tuple[ActivityRecord, ...] = tuple(nodes)
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            sorted({(int(s), int(t)) for s, t in edges})
-        )
         n = len(self.nodes)
-        for s, t in self.edges:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"edge ({s}, {t}) references a node outside 0..{n - 1}")
-            if s == t:
-                raise ValueError(f"edge ({s}, {t}) is a self-loop")
+        sources, targets = np.divmod(_edge_keys(edges, n), max(n, 1))
+        ends = np.cumsum(np.bincount(sources, minlength=n)).tolist()
+        targets = targets.tolist()
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(sources.tolist(), targets))
         self.index_of: dict[str, int] = {rec.id: i for i, rec in enumerate(self.nodes)}
-        succ: list[list[int]] = [[] for _ in range(n)]
+        # sorted by source, then target: each node's successors are one stretch of the edges, in order
+        self._succ: tuple[tuple[int, ...], ...] = tuple(
+            tuple(targets[start:end]) for start, end in zip([0, *ends], ends)
+        )
         pred: list[list[int]] = [[] for _ in range(n)]
         for s, t in self.edges:
-            succ[s].append(t)
             pred[t].append(s)
-        self._succ: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in succ)
-        self._pred: tuple[tuple[int, ...], ...] = tuple(tuple(x) for x in pred)
-        # kept by topological_order, _heights, reachability.closure, heterogeneity.rh_local_all and metrics._paths
-        self._order = self._height = self._closure = self._local = self._paths = None
+        self._pred: tuple[tuple[int, ...], ...] = tuple(map(tuple, pred))
+        # kept by topological_order, _heights, _successor_csr, reachability.closure,
+        # heterogeneity.rh_local_all and metrics._paths
+        self._order = self._height = self._csr = self._closure = self._local = self._paths = None
 
     @property
     def n(self) -> int:
@@ -180,26 +183,55 @@ def build_network(
 
     records = sorted(activities, key=lambda rec: rec.id)
     index = {rec.id: i for i, rec in enumerate(records)}
+    n = len(records)
+    try:
+        keys = np.array([index[dep.predecessor] * n + index[dep.successor] for dep in dependencies], dtype=np.int64)
+        sources, targets = np.divmod(keys, max(n, 1))
+    except KeyError:
+        keys = None
+    if keys is None or np.any(sources == targets):
+        _raise_first_fault(dependencies, index)
+    network = ActivityNetwork(records, np.column_stack((sources, targets)))
+    duplicates = len(keys) - len(network.edges)
+    if duplicates:
+        logger.warning("collapsed %d duplicate dependency rows", duplicates)
+    topological_order(network)  # raises CycleDetected; keeps the order
+    return network
 
-    edges: set[tuple[int, int]] = set()
-    duplicates = 0
+
+def _raise_first_fault(dependencies: Sequence[Dependency], index: dict[str, int]) -> None:
+    """Raise for the first dependency row that is a self-loop or names an unknown id, its predecessor first."""
     for dep in dependencies:
         if dep.predecessor == dep.successor:
             raise SelfLoop(dep.predecessor)
         for node_id in (dep.predecessor, dep.successor):
             if node_id not in index:
                 raise UnknownActivityId(node_id)
-        pair = (index[dep.predecessor], index[dep.successor])
-        if pair in edges:
-            duplicates += 1
-        else:
-            edges.add(pair)
-    if duplicates:
-        logger.warning("collapsed %d duplicate dependency rows", duplicates)
 
-    network = ActivityNetwork(records, edges)
-    topological_order(network)  # raises CycleDetected; keeps the order
-    return network
+
+def _edge_keys(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> np.ndarray:
+    """The distinct keys ``s * n + t`` of the edges (s, t), ascending, so in the order of the pairs.
+
+    An integer array of shape (e, 2) is read whole; any other iterable
+    pair by pair through ``int``.
+
+    Raises:
+        ValueError: an edge names a node outside 0..n-1 or is a self-loop;
+            the message names the first such edge in sorted order.
+    """
+    if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.ndim == 2 and edges.shape[1] == 2):
+        edges = [(int(s), int(t)) for s, t in edges]
+    try:
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an int past int64, so outside every network
+        pairs = None
+    if pairs is None or len(pairs) and (pairs.min() < 0 or pairs.max() >= n or np.any(pairs[:, 0] == pairs[:, 1])):
+        for s, t in sorted({(int(s), int(t)) for s, t in edges}):
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError(f"edge ({s}, {t}) references a node outside 0..{n - 1}")
+            if s == t:
+                raise ValueError(f"edge ({s}, {t}) is a self-loop")
+    return np.unique(pairs[:, 0] * n + pairs[:, 1])
 
 
 def topological_order(network: ActivityNetwork) -> list[int]:
@@ -233,9 +265,17 @@ def topological_order(network: ActivityNetwork) -> list[int]:
 
 
 def _successor_csr(network: ActivityNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Successors as CSR arrays over the sorted edges: each node's first edge and out-degree, and every edge's target."""
-    degree = network.out_degrees()
-    return np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64)
+    """Successors as CSR arrays over the sorted edges: each node's first edge and out-degree, and every edge's target.
+
+    Derived once per network and kept, read-only.
+    """
+    if network._csr is None:
+        degree = network.out_degrees()
+        arrays = (np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64))
+        for array in arrays:
+            array.setflags(write=False)
+        network._csr = arrays
+    return network._csr
 
 
 def _heights(network: ActivityNetwork) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Contiguous ranges of one job split between forked processes.
 
-Two stages run on every CPU the process may use: the local-RH sweep
-(``heterogeneity.rh_local_all``) and the batched shortest-path search
+Three stages run on every CPU the process may use: the local-RH sweep
+(``heterogeneity.rh_local_all``), the product of global RH
+(``heterogeneity.rh_global``) and the batched shortest-path search
 (``metrics._paths``). Each cuts its work into contiguous ranges, one per
 process (:func:`processes`), and hands them to :func:`split` with two
 functions: ``produce(r)`` yields range r's results as numpy arrays, and
@@ -27,7 +28,7 @@ pool costs more than it saves: on a 2-vCPU VM a spawn pool of one worker
 took 0.375 s to start, more than the whole local-RH sweep of the
 1208-node acceptance-c7 network, a forkserver pool 0.27 s and a fork pool
 13 ms, where an ``os.fork`` round trip took 2.7 ms. Threads ran slower
-than one process (0.356 to 0.424 s for the sweep on c7), since both stages
+than one process (0.356 to 0.424 s for the sweep on c7), since the stages
 hold the interpreter lock for most of their steps. A fork copies only the
 calling thread, so a job splits only when no other Python thread runs;
 OpenBLAS stops its own worker threads in an at-fork handler and starts

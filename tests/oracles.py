@@ -11,12 +11,15 @@ library must reproduce their bytes, not merely their values.
 
 ``screening_network`` and ``traced_peak`` are the network and the
 tracemalloc helper that the working-memory checks share, and
-``forced_split`` the setting the checks of both split stages share.
+``forced_split`` the setting the checks of every split stage share.
+``read_schedule`` reads a schedule's CSV files with the standard library
+alone, for the loader's checks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import tracemalloc
@@ -352,3 +355,43 @@ def undirected_components(n, edges):
                     frontier.append(other)
         current += 1
     return label
+
+
+def read_schedule(activities_path, dependencies_path):
+    """A schedule's CSV pair read with ``csv`` and ``date.fromisoformat`` alone, isolated activities dropped.
+
+    Returns the activity rows as tuples (id, name, planned start, planned
+    end, actual start, actual end) in ascending id order, the distinct
+    edges as sorted index pairs, each node's successors and predecessors in
+    ascending order, and the topological order that takes the smallest
+    ready index first. Cells are stripped, blank rows skipped and a UTF-8
+    byte-order mark dropped. Only valid schedules are read.
+    """
+
+    def rows(path):
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            table = [[cell.strip() for cell in row] for row in csv.reader(handle)]
+        return [row for row in table[1:] if len(row) > 1 or row and row[0]]
+
+    def day(text):
+        return date.fromisoformat(text) if text else None
+
+    activities = {row[0]: (row[0], row[1], *map(day, row[2:])) for row in rows(activities_path)}
+    named = {(p, s) for p, s in rows(dependencies_path)}
+    kept = sorted({node_id for pair in named for node_id in pair})
+    index = {node_id: i for i, node_id in enumerate(kept)}
+    edges = sorted((index[p], index[s]) for p, s in named)
+    succ = [[t for s, t in edges if s == i] for i in range(len(kept))]
+    pred = [[s for s, t in edges if t == i] for i in range(len(kept))]
+    waiting = [len(p) for p in pred]
+    ready = [i for i, count in enumerate(waiting) if count == 0]
+    order = []
+    while ready:
+        node = min(ready)
+        ready.remove(node)
+        order.append(node)
+        for t in succ[node]:
+            waiting[t] -= 1
+            if waiting[t] == 0:
+                ready.append(t)
+    return [activities[node_id] for node_id in kept], edges, succ, pred, order

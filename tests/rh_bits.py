@@ -1,6 +1,6 @@
 """Float-contract bits of ``rh_global`` for named networks, printed as JSON.
 
-Usage: ``python tests/rh_bits.py [--local | --split] NAME...`` with ``src``
+Usage: ``python tests/rh_bits.py [--local | --split | --global-split] NAME...`` with ``src``
 and ``tests`` on the path. OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and
 ``OPENBLAS_CORETYPE`` once, when numpy loads it, so a caller that compares
 kernels or thread counts runs this script once per setting. Every sweep
@@ -20,6 +20,13 @@ network it prints:
 * with ``--split`` only, and in place of the rest: ``local``; ``split``,
   the same digest for a sweep split between two processes at any size;
   and ``forks``, how many children that split forked.
+* with ``--global-split`` only, and in place of the rest: ``value``;
+  ``cuts``, the block-aligned cuts of ``rh_global``'s product, from the
+  first block's end to the last block's start; ``differ``, those at which
+  the product split in two there differs from one process's in any bit;
+  ``split``, the value of a whole ``rh_global`` call split at its own cut;
+  and ``forks``, how many children all of these forked. The name
+  ``screening`` stands for ``oracles.screening_network()`` here.
 
 A ``wide-N`` name prints only ``streamed``, for N random packed 0/1 rows
 of N bits, which never exist as one float matrix. A ``dot-N`` name prints
@@ -37,7 +44,7 @@ import sys
 
 import numpy as np
 
-from oracles import dense_rh, make_network, without_node
+from oracles import dense_rh, make_network, screening_network, without_node
 from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local, rh_local_all
 from schednet import heterogeneity
 from schednet.heterogeneity import _block, _dot, _layout, _product
@@ -149,6 +156,32 @@ def split(network):
     return {"local": _digest(local), "split": _digest(values), "forks": len(forks)}
 
 
+def global_split(network):
+    """``rh_global``'s value and product in one process, and split between two at every block-aligned cut."""
+    n = network.n
+    table = closure(network)
+    w = weights(table.ancestor_counts)
+    one = heterogeneity._global_product(table._rows, w, [0, n]).tobytes()
+    step, last = _layout(n)
+    cuts = range(step, last + 1, step)
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    os.fork = counted
+    try:
+        differ = [cut for cut in cuts if heterogeneity._global_product(table._rows, w, [0, cut, n]).tobytes() != one]
+        heterogeneity._SPLIT_ROWS = 0
+        value = rh_global(network).value
+    finally:
+        heterogeneity._SPLIT_ROWS, os.fork = math.inf, fork
+    return {"value": rh_global(network).value.hex(), "cuts": list(cuts), "differ": differ, "split": value.hex(),
+            "forks": len(forks)}
+
+
 def wide(n):
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 256, size=(n, (n + 7) // 8), dtype=np.uint8)
@@ -162,9 +195,10 @@ def dot(n):
 
 
 if __name__ == "__main__":
-    heterogeneity._SPLIT_NODES = math.inf  # every sweep but the split one of ``split`` runs in this process
-    flags = {"--local", "--split"} & set(sys.argv)
-    if "--split" in flags:
+    # every sweep and product but the split ones of ``split`` and ``global_split`` runs in this process
+    heterogeneity._SPLIT_NODES = heterogeneity._SPLIT_ROWS = math.inf
+    flags = {"--local", "--split", "--global-split"} & set(sys.argv)
+    if flags & {"--split", "--global-split"}:
         os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, whatever this machine has
     out = {}
     for name in sys.argv[1:]:
@@ -172,6 +206,8 @@ if __name__ == "__main__":
             out[name] = wide(int(name[len("wide-"):]))
         elif name.startswith("dot-"):
             out[name] = dot(int(name[len("dot-"):]))
+        elif "--global-split" in flags and name not in flags:
+            out[name] = global_split(screening_network() if name == "screening" else NETWORKS[name]())
         elif "--split" in flags and name not in flags:
             out[name] = split(NETWORKS[name]())
         elif name not in flags:

@@ -202,7 +202,7 @@ class TestDecimalOracle:
             assert abs(Decimal(rh_local(net, v)) - exact) < Decimal("1e-15"), v
 
 
-def rh_bits(names, threads=1, coretype=None, local=False, split=False):
+def rh_bits(names, threads=1, coretype=None, local=False, split=False, global_split=False):
     """Run ``rh_bits.py`` for ``names`` in a child with the given BLAS threads and kernel."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
@@ -215,6 +215,7 @@ def rh_bits(names, threads=1, coretype=None, local=False, split=False):
             str(Path(__file__).with_name("rh_bits.py")),
             *(["--local"] if local else []),
             *(["--split"] if split else []),
+            *(["--global-split"] if global_split else []),
             *names,
         ],
         env=env,
@@ -735,3 +736,47 @@ class TestSplitSweep:
             one = (tmp_path / "one" / name).read_bytes()
             assert (tmp_path / "two" / name).read_bytes() == one, name
             assert (tmp_path / "single" / name).read_bytes() == one, name
+
+
+def global_value(net, split_rows=0, cpus=2):
+    """``rh_global`` of ``net`` under a threshold and a CPU count, and the forks made."""
+    with forced_split(heterogeneity, "_SPLIT_ROWS", split_rows, cpus) as forks:
+        value = rh_global(net).value
+    return value, len(forks)
+
+
+@needs_fork
+class TestSplitGlobal:
+    """Above ``_SPLIT_ROWS`` nodes the product of ``rh_global`` is split between processes, with the same bits."""
+
+    def test_every_block_aligned_cut_keeps_the_bits_at_one_and_two_blas_threads(self):
+        with ThreadPoolExecutor(2) as pool:  # the two children run side by side
+            runs = list(pool.map(lambda threads: rh_bits(["screening"], threads, global_split=True), (1, 2)))
+        step, last = heterogeneity._layout(screening_network().n)
+        for threads, run in zip((1, 2), runs):
+            bits = run["screening"]
+            # from a first range of one block to a last range of only the last block
+            assert bits["cuts"][0] == step and bits["cuts"][-1] == last, threads
+            assert bits["differ"] == [], threads
+            assert bits["split"] == bits["value"] == runs[0]["screening"]["value"], threads
+            assert bits["forks"] == len(bits["cuts"]) + 1, threads
+
+    def test_more_processes_than_cpus_give_the_same_bits(self):
+        net = screening_network()
+        value, forks = global_value(net, cpus=5)
+        assert forks == 4
+        assert value == global_value(net, math.inf)[0]
+        assert_no_child_left()
+
+    def test_splits_above_the_threshold_only(self, small_batch):
+        threshold = heterogeneity._SPLIT_ROWS
+        for seed, net in enumerate(small_batch):
+            assert global_value(net, threshold)[1] == 0, seed
+        assert global_value(NETWORKS["c7"](), threshold)[1] == 0
+        net = prune_isolated(  # the screen-10k grid cut to n=4075
+            generate_dag(GeneratorConfig(layer_count=90, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11))
+        )
+        assert net.n > threshold
+        value, forks = global_value(net, threshold)
+        assert forks == 1
+        assert value == global_value(net, math.inf)[0]

@@ -119,6 +119,87 @@ class TestBuildNetwork:
         assert net.node_ids == ("a", "b", "c")
         assert net.edges == ((0, 2),)
 
+    def test_the_warning_counts_every_duplicate_row(self, caplog):
+        pairs = [("a", "b"), ("b", "c"), ("a", "b"), ("a", "c"), ("a", "b"), ("b", "c")]
+        with caplog.at_level(logging.WARNING, logger="schednet.network"):
+            net = make_network("abcd", pairs)
+        assert net.edges == ((0, 1), (0, 2), (1, 2))
+        assert [record.getMessage() for record in caplog.records] == ["collapsed 3 duplicate dependency rows"]
+
+    def test_no_warning_without_duplicates(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="schednet.network"):
+            make_network("abc", [("b", "c"), ("a", "b")])
+        assert not caplog.records
+
+    @pytest.mark.parametrize(
+        "pairs, error, activity_id",
+        [
+            ([("a", "b"), ("z", "z")], SelfLoop, "z"),  # a self-loop on an unknown id is a self-loop
+            ([("y", "z")], UnknownActivityId, "y"),  # the predecessor is checked first
+            ([("a", "z"), ("b", "b")], UnknownActivityId, "z"),  # the first faulty row decides
+            ([("b", "b"), ("a", "z")], SelfLoop, "b"),
+            ([("a", "b"), ("c", "c"), ("a", "b")], SelfLoop, "c"),
+        ],
+    )
+    def test_the_first_faulty_row_names_its_fault(self, pairs, error, activity_id):
+        with pytest.raises(error) as excinfo:
+            make_network("abc", pairs)
+        assert excinfo.value.activity_id == activity_id
+
+
+class TestActivityNetworkEdges:
+    """The constructor takes any int-like pairs, dedups and sorts them, and names the first bad one in sorted order."""
+
+    def test_numpy_ints_unsorted_and_duplicated(self):
+        pairs = [(np.int64(2), np.int32(0)), (1, 2), (np.uint8(1), np.int16(2)), (0, 1), (2, 0)]
+        net = ActivityNetwork(make_records("abc"), pairs)
+        assert net.edges == ((0, 1), (1, 2), (2, 0))
+        assert all(type(i) is int for edge in net.edges for i in edge)
+        assert net.successor_lists == ((1,), (2,), (0,))
+        assert net.predecessor_lists == ((2,), (0,), (1,))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_an_integer_array_gives_the_network_of_its_pairs(self, dtype):
+        pairs = [(3, 1), (0, 2), (3, 1), (0, 1), (2, 3), (0, 2)]
+        net = ActivityNetwork(make_records("abcd"), np.array(pairs, dtype=dtype))
+        assert net == ActivityNetwork(make_records("abcd"), pairs)
+        assert net.edges == ((0, 1), (0, 2), (2, 3), (3, 1))
+        assert net.successor_lists == ((1, 2), (), (3,), (1,))
+        assert net.predecessor_lists == ((), (0, 3), (0,), (2,))
+
+    def test_any_iterable(self):
+        net = ActivityNetwork(make_records("abc"), ((t, s) for s, t in [(1, 0), (2, 1)]))
+        assert net.edges == ((0, 1), (1, 2))
+        assert ActivityNetwork(make_records("abc"), []).edges == ()
+        assert ActivityNetwork([], np.empty((0, 2), dtype=np.int64)).edges == ()
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 5), (-1, 0)], r"edge \(-1, 0\) references a node outside 0..2"),
+            ([(2, 2), (0, 7)], r"edge \(0, 7\) references a node outside 0..2"),
+            ([(1, 1), (2, 9), (0, 1)], r"edge \(1, 1\) is a self-loop"),
+            ([(0, 1), (2**70, 0)], r"edge \(1180591620717411303424, 0\) references a node outside 0..2"),
+            ([(np.int64(3), np.int64(0))], r"edge \(3, 0\) references a node outside 0..2"),
+        ],
+    )
+    def test_the_first_bad_edge_in_sorted_order(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            ActivityNetwork(make_records("abc"), pairs)
+        if all(abs(int(i)) < 2**63 for pair in pairs for i in pair):
+            with pytest.raises(ValueError, match=message):
+                ActivityNetwork(make_records("abc"), np.array(pairs, dtype=np.int64))
+
+    def test_an_unsigned_array_past_int64_names_its_own_value(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 9223372036854775808\) references a node outside"):
+            ActivityNetwork(make_records("abc"), np.array([[0, 2**63]], dtype=np.uint64))
+
+    def test_an_edge_that_is_no_pair_raises_as_unpacking_does(self):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            ActivityNetwork(make_records("abcd"), [(0, 1, 2), (1, 2, 3)])
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            ActivityNetwork(make_records("abcd"), np.array([[0, 1, 2], [1, 2, 3]]))
+
 
 class TestPruneIsolated:
     def test_drops_isolated_node(self):

@@ -1,4 +1,4 @@
-"""The fork helper both split stages use: failures, the conditions to split, CPU pinning and the stream."""
+"""The fork helper every split stage uses: failures, the conditions to split, CPU pinning and the stream."""
 
 from __future__ import annotations
 
@@ -12,27 +12,30 @@ import time
 import numpy as np
 import pytest
 
-from schednet import GeneratorConfig, generate_dag, metrics, parallel, rh_local_all
+from schednet import GeneratorConfig, generate_dag, metrics, parallel, rh_global, rh_local_all
 from schednet import heterogeneity
 from schednet.network import ActivityNetwork
-from oracles import forced_split
+from oracles import forced_split, screening_network
 from rh_bits import NETWORKS
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split stages fork")
 
-# (module, its split threshold, the function that does one piece of a range, the vector kept on the network)
+# (module, its split threshold, the function that does one piece of a range, the vector kept on the network or None)
 CALLERS = {
     "local RH": (heterogeneity, "_SPLIT_NODES", "_fill", "_local"),
+    "global RH": (heterogeneity, "_SPLIT_ROWS", "_blocks", None),
     "shortest paths": (metrics, "_SPLIT_PAIRS", "_search", "_paths"),
 }
 # a child killed while it sends this record (0-based): the search's 3 is inside its second batch, after the
 # parent has added the first batch's dependencies to the scores
-KILL_AT = {"local RH": 0, "shortest paths": 3}
+KILL_AT = {"local RH": 0, "global RH": 0, "shortest paths": 3}
 
 
 def network(caller):
     if caller == "local RH":
         return NETWORKS["sparse"]()
+    if caller == "global RH":
+        return screening_network()
     # n=1560, 43 batches at the default limits
     return generate_dag(GeneratorConfig(layer_count=40, layer_width=40, edge_probability=0.015, skip_depth=3, seed=13))
 
@@ -40,6 +43,8 @@ def network(caller):
 def values(caller, net):
     if caller == "local RH":
         return rh_local_all(net).values.tobytes()
+    if caller == "global RH":
+        return np.float64(rh_global(net).value).tobytes()
     return b"".join(vector.values.tobytes() for vector in metrics._paths(net))
 
 
@@ -135,7 +140,7 @@ class TestSplitFailures:
             run(caller, net)
         assert time.perf_counter() - start < 20
         assert_no_child_left()
-        assert getattr(net, kept) is None
+        assert kept is None or getattr(net, kept) is None
 
 
 class TestSplitConditions:
@@ -181,17 +186,17 @@ class TestSplitConditions:
         assert counts == [1]
 
 
-def test_a_network_above_both_thresholds_derives_its_heights_once():
-    # the sweep reads the heights to order its cone rows, and the search to cost its batches
+def kept_writes(name):
+    """The values the split local-RH sweep and the split search write to the slot ``name`` of one network."""
     writes = []
 
     class Counted(ActivityNetwork):
         __slots__ = ()
 
-        def __setattr__(self, name, value):
-            if name == "_height" and value is not None:
+        def __setattr__(self, slot, value):
+            if slot == name and value is not None:
                 writes.append(value)
-            super().__setattr__(name, value)
+            super().__setattr__(slot, value)
 
     net = generate_dag(GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7))
     net = Counted(net.nodes, net.edges)  # the acceptance-c7 topology, which searches in several batches
@@ -199,7 +204,19 @@ def test_a_network_above_both_thresholds_derives_its_heights_once():
         rh_local_all(net)
         metrics._paths(net)
     assert len(forks) == 2  # one child for each stage
+    return writes
+
+
+def test_a_network_above_both_thresholds_derives_its_heights_once():
+    # the sweep reads the heights to order its cone rows, and the search to cost its batches
+    assert len(kept_writes("_height")) == 1
+
+
+def test_a_network_above_both_thresholds_derives_its_successor_csr_once():
+    # the sweep expands its cone rows over the successor CSR, and the search its levels
+    writes = kept_writes("_csr")
     assert len(writes) == 1
+    assert not any(array.flags.writeable for array in writes[0])
 
 
 class TestSplitHelper:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-from datetime import date
+import csv
+import io
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schednet import (
     ActivityRecord,
@@ -17,10 +23,11 @@ from schednet import (
     network_to_json,
     read_activities,
     read_dependencies,
+    topological_order,
     write_activities,
     write_dependencies,
 )
-from oracles import make_records, random_network
+from oracles import make_records, random_network, read_schedule
 
 ACTIVITY_CSV = """id,name,planned_start,planned_end,actual_start,actual_end
 a,Dig,2021-01-01,2021-01-05,2021-01-02,2021-01-06
@@ -99,6 +106,39 @@ class TestReadActivities:
     def test_utf8_bom_is_accepted(self, tmp_path):
         plain = read_activities(write(tmp_path, "a.csv", ACTIVITY_CSV))
         assert read_activities(write(tmp_path, "bom.csv", "\ufeff" + ACTIVITY_CSV)) == plain
+
+    # each date text is parsed once per file; a bad one after good ones in its field keeps its own error
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("planned_start", "2021-02-30"),
+            ("planned_end", "2021-1-05"),
+            ("actual_start", "2021-01-02x"),
+            ("actual_end", "tomorrow"),
+        ],
+    )
+    def test_an_invalid_date_after_valid_ones_in_its_field_keeps_its_name_and_line(self, tmp_path, field, text):
+        good = "a{k},Row {k},2021-01-01,2021-01-05,2021-01-02,2021-01-06\n"
+        row = dict(zip(("planned_start", "planned_end", "actual_start", "actual_end"), good.split(",")[2:]))
+        row[field] = text
+        bad = "z,Bad," + ",".join(row.values()).rstrip("\n") + "\n"
+        header = ACTIVITY_CSV.splitlines()[0] + "\n"
+        path = write(tmp_path, "a.csv", header + "".join(good.format(k=k) for k in range(3)) + bad)
+        with pytest.raises(ScheduleParseError, match=f"{field}: invalid ISO date '{text}'") as excinfo:
+            read_activities(path)
+        assert excinfo.value.line == 5
+
+    def test_an_empty_planned_date_after_valid_ones_is_required(self, tmp_path):
+        text = ACTIVITY_CSV + "d,Late,2021-01-09,,,\n"
+        with pytest.raises(ScheduleParseError, match="planned_end is required") as excinfo:
+            read_activities(write(tmp_path, "a.csv", text))
+        assert excinfo.value.line == 5
+
+    def test_repeated_date_texts_read_as_equal_dates(self, tmp_path):
+        text = ACTIVITY_CSV + "d,Again,2021-01-06,2021-01-08,2021-01-06,2021-01-08\n"
+        records = read_activities(write(tmp_path, "a.csv", text))
+        assert records[3].planned_start == records[3].actual_start == records[1].planned_start == date(2021, 1, 6)
+        assert records[3].planned_end == records[1].planned_end == date(2021, 1, 8)
 
 
 class TestReadDependencies:
@@ -192,3 +232,67 @@ class TestRoundTrip:
         d_path = write(tmp_path, "d.csv", "predecessor,successor\na,b\n")
         net = load_network(a_path, d_path)
         assert net.node_ids == ("a", "b")
+
+
+ACTIVITY_FIELDS = ("id", "name", "planned_start", "planned_end", "actual_start", "actual_end")
+DEPENDENCY_FIELDS = ("predecessor", "successor")
+DAYS = [(date(2021, 1, 1) + timedelta(days=k)).isoformat() for k in range(6)]
+TEXT = st.text(alphabet='ab ,"\n', max_size=4)  # cells that need quotes, and spaces that the readers strip
+
+
+@st.composite
+def schedule_files(draw):
+    """CSV texts of a valid schedule: quoted ids and names, a BOM, blank rows, repeated and empty dates,
+    duplicate dependency rows and isolated activities."""
+    n = draw(st.integers(2, 12))
+    ids = [f"i{k}{draw(TEXT)}z" for k in range(n)]  # no digit after k, so the ids differ
+    activities = []
+    for node_id in ids:
+        start = draw(st.integers(0, 3))
+        end = start + draw(st.integers(0, 2))
+        actual = draw(st.sampled_from(["none", "start", "end", "both"]))
+        activities.append([
+            node_id,
+            draw(TEXT),
+            DAYS[start],
+            f" {DAYS[end]}" if draw(st.booleans()) else DAYS[end],
+            DAYS[start] if actual in ("start", "both") else "",
+            DAYS[end] if actual in ("end", "both") else "",
+        ])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=3 * n))
+    pairs = [(min(p), max(p)) for p in pairs]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))  # duplicate rows
+    dependencies = [[ids[s], f"  {ids[t]}"] for s, t in pairs]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def text(header, rows):
+        out = io.StringIO()
+        if draw(st.booleans()):
+            out.write("\ufeff")
+        writer = csv.writer(out, lineterminator=ending)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+            out.write(draw(st.sampled_from(["", "", ending, "   " + ending])))  # blank rows
+        return out.getvalue()
+
+    return text(ACTIVITY_FIELDS, activities), text(DEPENDENCY_FIELDS, dependencies)
+
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(schedule_files())
+def test_load_network_matches_a_standard_library_reader(texts):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [Path(directory) / "a.csv", Path(directory) / "d.csv"]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8", newline="")
+        net = load_network(*paths)
+        nodes, edges, succ, pred, order = read_schedule(*paths)
+    assert [(r.id, r.name, r.planned_start, r.planned_end, r.actual_start, r.actual_end) for r in net.nodes] == nodes
+    assert list(net.edges) == edges
+    assert [list(s) for s in net.successor_lists] == succ
+    assert [list(p) for p in net.predecessor_lists] == pred
+    assert topological_order(net) == order
+    assert net.index_of == {node[0]: i for i, node in enumerate(nodes)}
