@@ -161,7 +161,8 @@ def global_split(network):
     n = network.n
     table = closure(network)
     w = weights(table.ancestor_counts)
-    one = heterogeneity._global_product(table._rows, w, [0, n]).tobytes()
+    # every product stays alive, so no later one is made in memory that already holds the right values
+    products = [heterogeneity._global_product(table._rows, w, [0, n])]
     step, last = _layout(n)
     cuts = range(step, last + 1, step)
     forks, fork = [], os.fork
@@ -173,11 +174,13 @@ def global_split(network):
 
     os.fork = counted
     try:
-        differ = [cut for cut in cuts if heterogeneity._global_product(table._rows, w, [0, cut, n]).tobytes() != one]
+        products += [heterogeneity._global_product(table._rows, w, [0, cut, n]) for cut in cuts]
         heterogeneity._SPLIT_ROWS = 0
         value = rh_global(network).value
     finally:
         heterogeneity._SPLIT_ROWS, os.fork = math.inf, fork
+    one = products[0].tobytes()
+    differ = [cut for cut, y in zip(cuts, products[1:]) if y.tobytes() != one]
     return {"value": rh_global(network).value.hex(), "cuts": list(cuts), "differ": differ, "split": value.hex(),
             "forks": len(forks)}
 

@@ -40,6 +40,11 @@ a,b
 b,c
 """
 
+ACTIVITY_FIELDS = ("id", "name", "planned_start", "planned_end", "actual_start", "actual_end")
+DEPENDENCY_FIELDS = ("predecessor", "successor")
+DAYS = [(date(2021, 1, 1) + timedelta(days=k)).isoformat() for k in range(6)]
+TEXT = st.text(alphabet='ab ,"\n', max_size=4)  # cells that need quotes, and spaces that the readers strip
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -118,12 +123,10 @@ class TestReadActivities:
         ],
     )
     def test_an_invalid_date_after_valid_ones_in_its_field_keeps_its_name_and_line(self, tmp_path, field, text):
-        good = "a{k},Row {k},2021-01-01,2021-01-05,2021-01-02,2021-01-06\n"
-        row = dict(zip(("planned_start", "planned_end", "actual_start", "actual_end"), good.split(",")[2:]))
-        row[field] = text
-        bad = "z,Bad," + ",".join(row.values()).rstrip("\n") + "\n"
-        header = ACTIVITY_CSV.splitlines()[0] + "\n"
-        path = write(tmp_path, "a.csv", header + "".join(good.format(k=k) for k in range(3)) + bad)
+        dates = dict(planned_start="2021-01-01", planned_end="2021-01-05", actual_start="2021-01-02", actual_end="2021-01-06")
+        rows = [f"a{k},Row {k}," + ",".join(dates.values()) for k in range(3)]
+        rows.append("z,Bad," + ",".join({**dates, field: text}.values()))
+        path = write(tmp_path, "a.csv", "\n".join([",".join(ACTIVITY_FIELDS), *rows]) + "\n")
         with pytest.raises(ScheduleParseError, match=f"{field}: invalid ISO date '{text}'") as excinfo:
             read_activities(path)
         assert excinfo.value.line == 5
@@ -234,12 +237,6 @@ class TestRoundTrip:
         assert net.node_ids == ("a", "b")
 
 
-ACTIVITY_FIELDS = ("id", "name", "planned_start", "planned_end", "actual_start", "actual_end")
-DEPENDENCY_FIELDS = ("predecessor", "successor")
-DAYS = [(date(2021, 1, 1) + timedelta(days=k)).isoformat() for k in range(6)]
-TEXT = st.text(alphabet='ab ,"\n', max_size=4)  # cells that need quotes, and spaces that the readers strip
-
-
 @st.composite
 def schedule_files(draw):
     """CSV texts of a valid schedule: quoted ids and names, a BOM, blank rows, repeated and empty dates,
@@ -278,7 +275,6 @@ def schedule_files(draw):
         return out.getvalue()
 
     return text(ACTIVITY_FIELDS, activities), text(DEPENDENCY_FIELDS, dependencies)
-
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
