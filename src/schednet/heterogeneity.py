@@ -112,7 +112,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
-from .network import ActivityNetwork, _heights, _successor_csr, topological_order
+from .network import ActivityNetwork, _heights, topological_order
 from .parallel import processes, split
 from .reachability import _packed, _reach, closure
 
@@ -323,7 +323,7 @@ class _ReducedReach:
         self.removed: int | None = None
         self.slot = np.arange(n)
         self.patched = np.empty(0, dtype=np.int64)
-        self.first, self.degree, self.targets = _successor_csr(network)
+        self.first, self.degree, self.targets = network._csr
         self.height = _heights(network)
         budget, nbytes = _run_budget(n), self.rows.shape[1]
         # rows per run, one per node of each cone anc(k) + {k}: as many as fill the budget, at least the largest cone

@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .heterogeneity import rh_local_all
-from .network import ActivityNetwork, _heights, _successor_csr
+from .network import ActivityNetwork, _heights
 from .parallel import processes, split
 from .reachability import ReachabilityTable, closure, reachability_table
 
@@ -166,7 +166,7 @@ def _scores(
     bits; the sums are exact integers.
     """
     n = network.n
-    adjacency = _successor_csr(network)
+    adjacency = network._csr
     score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
 
     def produce(batches: range):

@@ -68,13 +68,15 @@ class ActivityNetwork:
     sorted order; the constructor takes any iterable of int-like pairs, or
     an integer array of them, and sorts them as the keys ``s * n + t``.
     Instances are read-only once constructed and safe to share between
-    threads. The topological order, the node heights, the successor CSR
-    arrays, the transitive closure, the local-RH vector and the three
-    shortest-path metric vectors are built on first use and kept: a kept
-    closure holds n²/8 bytes of packed rows (182 KB at n=1208, 10.4 MB at
-    n=9125), the heights and the local-RH vector 8n bytes each, the CSR
-    16n + 8e and the shortest-path vectors 24n. Two threads may both build
-    on first use; the results are identical, so the race is harmless.
+    threads. The constructor also keeps the successors as read-only CSR
+    arrays (``_csr``, 16n + 8e bytes), cut from the sorted edges it has at
+    hand. The topological order, the node heights, the transitive closure,
+    the local-RH vector and the three shortest-path metric vectors are
+    built on first use and kept: a kept closure holds n²/8 bytes of packed
+    rows (182 KB at n=1208, 10.4 MB at n=9125), the heights and the
+    local-RH vector 8n bytes each and the shortest-path vectors 24n. Two
+    threads may both build on first use; the results are identical, so the
+    race is harmless.
     """
 
     __slots__ = (
@@ -85,9 +87,15 @@ class ActivityNetwork:
     def __init__(self, nodes: Sequence[ActivityRecord], edges: Iterable[tuple[int, int]] | np.ndarray) -> None:
         self.nodes: tuple[ActivityRecord, ...] = tuple(nodes)
         n = len(self.nodes)
-        sources, targets = np.divmod(_edge_keys(edges, n), max(n, 1))
-        ends = np.cumsum(np.bincount(sources, minlength=n)).tolist()
-        targets = targets.tolist()
+        sources, heads = np.divmod(_edge_keys(edges, n), max(n, 1))
+        degree = np.bincount(sources, minlength=n)
+        ends = np.cumsum(degree)
+        # successors as CSR arrays over the sorted edges: each node's first edge and out-degree, and every
+        # edge's target; read by the local-RH sweep and the shortest-path search
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] = (ends - degree, degree, heads)
+        for array in self._csr:
+            array.setflags(write=False)
+        ends, targets = ends.tolist(), heads.tolist()
         self.edges: tuple[tuple[int, int], ...] = tuple(zip(sources.tolist(), targets))
         self.index_of: dict[str, int] = {rec.id: i for i, rec in enumerate(self.nodes)}
         # sorted by source, then target: each node's successors are one stretch of the edges, in order
@@ -98,9 +106,8 @@ class ActivityNetwork:
         for s, t in self.edges:
             pred[t].append(s)
         self._pred: tuple[tuple[int, ...], ...] = tuple(map(tuple, pred))
-        # kept by topological_order, _heights, _successor_csr, reachability.closure,
-        # heterogeneity.rh_local_all and metrics._paths
-        self._order = self._height = self._csr = self._closure = self._local = self._paths = None
+        # kept by topological_order, _heights, reachability.closure, heterogeneity.rh_local_all and metrics._paths
+        self._order = self._height = self._closure = self._local = self._paths = None
 
     @property
     def n(self) -> int:
@@ -264,20 +271,6 @@ def topological_order(network: ActivityNetwork) -> list[int]:
             raise CycleDetected([network.nodes[i].id for i in cycle])
         network._order = tuple(order)
     return list(network._order)
-
-
-def _successor_csr(network: ActivityNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Successors as CSR arrays over the sorted edges: each node's first edge and out-degree, and every edge's target.
-
-    Derived once per network and kept, read-only.
-    """
-    if network._csr is None:
-        degree = network.out_degrees()
-        arrays = (np.cumsum(degree) - degree, degree, np.array([t for _, t in network.edges], dtype=np.int64))
-        for array in arrays:
-            array.setflags(write=False)
-        network._csr = arrays
-    return network._csr
 
 
 def _heights(network: ActivityNetwork) -> np.ndarray:
