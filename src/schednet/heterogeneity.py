@@ -65,13 +65,13 @@ there most rows change anyway, or the product costs less than finding
 the rows. On the acceptance-c7 network a node refreshes about 13% of
 them.
 
-On a network of more than ``_SPLIT_NODES`` nodes, ``rh_local_all``
-splits the sweep into contiguous ranges of removed nodes, one per CPU the
-process may run on, through ``parallel.split``: it builds the sweep state
-once, sweeps the first range itself and forks a child for each other one,
-which sweeps its range from its copy-on-write copy of that state and sends
-back its values. A range's first node refreshes every row of ``R @ w``
-and starts a new run, and the rows of a run are exact sets, so every value
+Two stages split between processes by the cut rule of ``parallel.cuts``
+and run through ``parallel.fill``: this process computes the first range
+and a forked child each other one, from its copy-on-write copy of this
+process. ``rh_local_all`` splits on a network of more than
+``_SPLIT_NODES`` nodes, at unit cost per removed node, after it builds the
+sweep state. A range's first node refreshes every row of ``R @ w`` and
+starts a new run, and the rows of a run are exact sets, so every value
 keeps the bits of the one-process sweep at any number of processes. Below
 the threshold the fork, the page copies it causes and the wake-up of the
 second CPU cost more than half a sweep saves: at n=96 a split took 1.6
@@ -79,19 +79,20 @@ times the 5.4 ms of one process, at n=283 0.65-1.3 times as long by the
 host's phase, and from n=344 up 0.57-0.84 of the time on every network
 measured.
 
-On a network of more than ``_SPLIT_ROWS`` nodes, ``rh_global`` splits
-its product the same way (``_global_product``): the rows of ``R @ w`` are
-cut into contiguous ranges of whole ``_product`` blocks, one per process,
-the last range takes the last block, and this process takes the final dot
-over all of y. A row's product depends only on its entries, on w and on
-its 8-row group, so the value keeps its bits. Each process takes its own
-scratch block, so neither copies the other's pages. The threshold is
-measured as split over one-process time, median of 25 alternating
-in-process pairs on a 2-vCPU VM (one BLAS thread, closure built
-beforehand), on the screen-10k grid cut to fewer layers: 1.58 at n=2715
-and 1.14 at n=3618, where a split round trip (about 3.5 ms) outweighs half
-the product, then 0.86 at n=4075, 0.88 at 4534, 0.82 at 5448 and 0.66 at
-9125. c7's topology (n=1208) takes about 1 ms in one process.
+``rh_global`` splits its product on a network of more than
+``_SPLIT_ROWS`` nodes, at unit cost per whole ``_product`` block below the
+last: the rows of ``R @ w`` are cut at multiples of the block step, the
+last range ends at n and so takes the last block, and this process takes
+the final dot over all of y. A row's product depends only on its entries,
+on w and on its 8-row group, so the value keeps its bits. Each process
+takes its own scratch block, so neither copies the other's pages. The
+threshold is measured as split over one-process time, median of 25
+alternating in-process pairs on a 2-vCPU VM (one BLAS thread, closure
+built beforehand), on the screen-10k grid cut to fewer layers: 1.58 at
+n=2715 and 1.14 at n=3618, where a split round trip (about 3.5 ms)
+outweighs half the product, then 0.86 at n=4075, 0.88 at 4534, 0.82 at
+5448 and 0.66 at 9125. c7's topology (n=1208) takes about 1 ms in one
+process.
 
 The float contract of every RH value is the bits of ``u @ (R @ w)`` with
 ``R @ w`` taken as one whole-matrix float64 dgemv under one BLAS thread
@@ -113,7 +114,7 @@ import numpy as np
 
 from .errors import DegenerateNormalization, UnknownNode
 from .network import ActivityNetwork, _heights, topological_order
-from .parallel import processes, split
+from .parallel import cuts, fill
 from .reachability import _packed, _reach, closure
 
 logger = logging.getLogger(__name__)
@@ -171,7 +172,16 @@ def rh_global(network: ActivityNetwork) -> HeterogeneityScore:
         return HeterogeneityScore(0.0, n, table.pair_count)
     d, a = table.descendant_counts, table.ancestor_counts
     inverse = _inverse_roots(n)
-    y = _global_product(table._rows, inverse[a], _global_cuts(n))
+    w, y = inverse[a], np.empty(n, dtype=np.float64)
+    step, cut = _layout(n)
+
+    def write(rows: range) -> None:
+        # only the range ending at n takes the last block; a scratch block per process, so no page is copied
+        take = _product if rows.stop == n else _blocks
+        take(y, table._rows, np.arange(n), n, w, np.arange(rows.start, min(rows.stop, cut)), _block(n))
+
+    # whole blocks below the last one, the last range ending at n
+    fill(y, [*(b * step for b in cuts(np.ones(cut // step), n > _SPLIT_ROWS)[:-1]), n], write)
     return HeterogeneityScore(_rh(_dot(inverse[d], y), d, a), n, table.pair_count)
 
 
@@ -214,9 +224,13 @@ def rh_local_all(network: ActivityNetwork) -> LocalRHVector:
     """
     if network._local is None:
         base = rh_global(network)
-        workers = processes(network.n) if network.n > _SPLIT_NODES else 1
-        cuts = [network.n * w // workers for w in range(workers + 1)]
-        values = _sweep(_ReducedReach(network), base.value, cuts)
+        reduced, values = _ReducedReach(network), np.empty(network.n, dtype=np.float64)
+
+        def write(nodes: range) -> None:
+            for node in nodes:
+                values[node] = base.value - reduced.value_without(node)
+
+        fill(values, cuts(np.ones(network.n), network.n > _SPLIT_NODES), write)
         values.setflags(write=False)
         network._local = LocalRHVector(values, base)
     return network._local
@@ -234,62 +248,6 @@ _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(a
 
 def _normalizer(n: int) -> float:
     return n - 2.0 * math.sqrt(n - 1)
-
-
-def _sweep(reduced: _ReducedReach, base: float, cuts: list[int]) -> np.ndarray:
-    """``base`` minus the RH without each node, nodes ``cuts[w]`` to ``cuts[w + 1] - 1`` swept by process w."""
-    values = np.empty(cuts[-1], dtype=np.float64)
-
-    def produce(nodes: range):
-        _fill(values, reduced, base, nodes)
-        yield values[nodes.start:nodes.stop]
-
-    def consume(nodes: range, records) -> None:
-        values[nodes.start:nodes.stop] = next(records)
-
-    split(cuts, produce, consume)
-    return values
-
-
-def _global_cuts(n: int) -> list[int]:
-    """Row cuts of ``rh_global``'s product over n rows, one range per process: whole blocks of ``_product``.
-
-    One range unless n exceeds ``_SPLIT_ROWS`` and ``parallel.processes``
-    gives more than one process. Every cut but the last is a multiple of
-    the block step, so each range holds the blocks one process would run;
-    the last range ends at n and so takes the last block.
-    """
-    step, cut = _layout(n)
-    workers = processes(cut // step) if n > _SPLIT_ROWS else 1
-    return [*(cut // step * w // workers * step for w in range(workers)), n]
-
-
-def _global_product(packed: np.ndarray, w: np.ndarray, cuts: list[int]) -> np.ndarray:
-    """``R @ w`` for the closure rows ``packed``, rows ``cuts[p]`` to ``cuts[p + 1] - 1`` taken by process p.
-
-    The cuts are multiples of ``_product``'s block step but the last, n
-    (``_global_cuts``), so every row keeps the bits of one process's product.
-    """
-    n = len(w)
-    y, cut = np.empty(n, dtype=np.float64), _layout(n)[1]
-
-    def produce(rows: range):
-        # only the range that ends at n takes the last block; each process takes its own scratch block,
-        # where one made before the fork would be copied page by page as both write to it
-        take = _product if rows.stop == n else _blocks
-        take(y, packed, np.arange(n), n, w, np.arange(rows.start, min(rows.stop, cut)), _block(n))
-        yield y[rows.start:rows.stop]
-
-    def consume(rows: range, records) -> None:
-        y[rows.start:rows.stop] = next(records)
-
-    split(cuts, produce, consume)
-    return y
-
-
-def _fill(values: np.ndarray, reduced: _ReducedReach, base: float, nodes: range) -> None:
-    for node in nodes:
-        values[node] = base - reduced.value_without(node)
 
 
 class _ReducedReach:
@@ -403,8 +361,8 @@ class _ReducedReach:
         bit = _BIT[targets & 7] * ~zero[source]  # each successor's own bit, but not the removed node's
         # a step is one level's pairs whose edges start in one stretch of ``capacity``
         steps = self.height[cone[pairs]] * len(source) + starts // self.capacity
-        cuts = [*np.flatnonzero(np.diff(steps, prepend=-1)).tolist(), len(pairs)]
-        for lo, hi in zip(cuts, cuts[1:]):
+        breaks = [*np.flatnonzero(np.diff(steps, prepend=-1)).tolist(), len(pairs)]
+        for lo, hi in zip(breaks, breaks[1:]):
             edges = slice(starts[lo], ends[hi - 1])
             gathered = buffer[source[edges]]
             gathered.view(np.uint8)[np.arange(len(gathered)), targets[edges] >> 3] |= bit[edges]
@@ -455,7 +413,7 @@ def _product(
     and column ``k``: the closure without node k, or all of it when ``k``
     is its node count. ``block`` is scratch from ``_block``. ``rows`` are sorted
     rows below the cut of ``_layout``; ``rh_global`` passes all of them, or
-    one process's whole blocks of them (``_global_product``). Every row
+    one process's whole blocks of them. Every row
     gets the bits of the whole-matrix product under one BLAS thread, at
     one and at two threads. OpenBLAS dgemv works on groups of rows and
     gives the ``n % 4`` tail rows to another kernel, splits a large call

@@ -8,9 +8,9 @@ use unit edge weights. One batched Brandes search per network gives all
 three shortest-path metrics, and the network keeps them (:func:`_paths`).
 
 Above ``_SPLIT_PAIRS`` reachable pairs the search is split between the
-CPUs the process may run on (``parallel.split``, which the local-RH sweep
-uses too): the batch list is cut into contiguous runs of about equal cost,
-one per process, and each child streams back its batches' dependencies,
+CPUs the process may run on: ``parallel.cuts`` cuts the batch list into
+contiguous runs of about equal cost, one per process, and through
+``parallel.split`` each child streams back its batches' dependencies,
 which go into the scores in batch order, so every vector has the same
 bytes at any number of processes. The acceptance-c7 closure (15.8k
 pairs) and the analyze-small-batch ones (about 3k) stay under it. The
@@ -32,7 +32,7 @@ import numpy as np
 
 from .heterogeneity import rh_local_all
 from .network import ActivityNetwork, _heights
-from .parallel import processes, split
+from .parallel import cuts, split
 from .reachability import ReachabilityTable, closure, reachability_table
 
 METRIC_NAMES = (
@@ -133,31 +133,27 @@ _LEVEL_PAIRS = 256  # a search level's fixed numpy cost, in reached pairs (measu
 
 
 def _cuts(network: ActivityNetwork, table: ReachabilityTable, bounds: list[tuple[int, int]]) -> list[int]:
-    """Batch indices that cut ``bounds`` into contiguous runs of about equal cost, one per process.
+    """Batch indices that cut ``bounds`` into contiguous runs of about equal cost, one per process (``parallel.cuts``).
 
-    One run unless the closure holds more than ``_SPLIT_PAIRS`` pairs and
-    ``parallel.processes`` gives more than one process. A batch costs its
-    reached pairs plus ``_LEVEL_PAIRS`` for each of its levels, at most its
-    highest source's height + 1; each run takes the batches whose cost
-    midpoint falls in its share of the total.
+    One run unless the closure holds more than ``_SPLIT_PAIRS`` pairs;
+    below that no height is derived. A batch costs its reached pairs plus
+    ``_LEVEL_PAIRS`` for each of its levels, at most its highest source's
+    height + 1.
     """
-    workers = processes(len(bounds)) if table.pair_count > _SPLIT_PAIRS else 1
-    if workers == 1:
+    if table.pair_count <= _SPLIT_PAIRS:
         return [0, len(bounds)]
     starts = [start for start, _ in bounds]
     height = _heights(network)
     cost = np.add.reduceat(table.descendant_counts, starts) + _LEVEL_PAIRS * (np.maximum.reduceat(height, starts) + 1)
-    cumulative = np.cumsum(cost)
-    shares = cumulative[-1] * np.arange(1, workers) / workers
-    return sorted({0, *np.searchsorted(cumulative - cost / 2, shares).tolist(), len(bounds)})
+    return cuts(cost, True)
 
 
 def _scores(
-    network: ActivityNetwork, rows: np.ndarray, bounds: list[tuple[int, int]], stamp: np.ndarray, cuts: list[int]
+    network: ActivityNetwork, rows: np.ndarray, bounds: list[tuple[int, int]], stamp: np.ndarray, runs: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Betweenness scores and the int64 distance sums from and to each node.
 
-    Process w searches batches ``cuts[w]`` to ``cuts[w + 1] - 1``
+    Process w searches batches ``runs[w]`` to ``runs[w + 1] - 1``
     (``parallel.split``). Its records are, for each batch, the reached
     nodes and their dependencies in ascending source order and the
     sources' distance sums, then its sums into every node. Each batch's
@@ -181,7 +177,7 @@ def _scores(
             away[start:stop] = next(records)
         np.add(into, next(records), out=into)
 
-    split(cuts, produce, consume, kept=(score, into))
+    split(runs, produce, consume, kept=(score, into))
     return score, away, into
 
 

@@ -27,7 +27,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivityRecord:
     """One schedule row. Planned dates are mandatory, actual dates optional."""
 
@@ -51,7 +51,7 @@ class ActivityRecord:
             raise ValueError(f"activity {self.id!r}: actual_end precedes actual_start")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dependency:
     """Finish-to-start precedence: predecessor must finish before successor starts."""
 

@@ -3,19 +3,23 @@
 Three stages run on every CPU the process may use: the local-RH sweep
 (``heterogeneity.rh_local_all``), the product of global RH
 (``heterogeneity.rh_global``) and the batched shortest-path search
-(``metrics._paths``). Each cuts its work into contiguous ranges, one per
-process (:func:`processes`), and hands them to :func:`split` with two
+(``metrics._paths``). Each states only a cost per item of its work and
+whether it is above its split size, and :func:`cuts`, the one cut rule,
+gives each process (:func:`processes`) a contiguous range of about equal
+total cost: the items whose cost midpoint falls in its share of the total.
+The sweep and the product :func:`fill` one vector, a slice per range. The
+search streams through :func:`split`, which ``fill`` wraps, with two
 functions: ``produce(r)`` yields range r's results as numpy arrays, and
 ``consume(r, records)`` takes them, in the order they were yielded, into
 the caller's outputs. This process produces and consumes the first range
 itself, one array at a time, and forks a child for each other range. A
-child produces its whole range from its copy-on-write copy of this process,
-then writes the arrays to a pipe and ends in ``os._exit``; it computes
-everything before it writes, since a pipe holds 64 KiB and a child that
-wrote as it went would wait for this process to finish its own range.
-This process then consumes each child's stream in range order, one array
-at a time, so it never holds a child's whole output, and every output gets
-its updates in the order one process would give them.
+child produces its whole range from its copy-on-write copy of this
+process, then writes the arrays to a pipe and ends in ``os._exit``; it
+computes everything before it writes, since a pipe holds 64 KiB and a
+child that wrote as it went would wait for this process to finish its own
+range. This process then consumes each child's stream in range order, one
+array at a time, so it never holds a child's whole output, and every
+output gets its updates in the order one process would give them.
 
 A child that could not start (``os.fork`` raised ``OSError``), that exits
 non-zero or by a signal, or whose stream ends early, has its range run here
@@ -70,19 +74,46 @@ def processes(limit: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), limit))
 
 
+def cuts(cost: np.ndarray, above: bool) -> list[int]:
+    """Bounds of contiguous ranges of about equal cost, one per process (one unless ``above``), 0 to len(cost).
+
+    A range takes the items whose cost midpoint falls in its share of the
+    total. No range is empty; unit costs on two CPUs cut at len(cost) // 2.
+    """
+    workers = processes(len(cost)) if above else 1
+    if workers == 1:
+        return [0, len(cost)]
+    cumulative = np.cumsum(cost)
+    shares = cumulative[-1] * np.arange(1, workers) / workers
+    return sorted({0, *np.searchsorted(cumulative - cost / 2, shares).tolist(), len(cost)})
+
+
+def fill(out: np.ndarray, bounds: list[int], write: Callable[[range], None]) -> None:
+    """Run ``write(r)`` for each range r of ``bounds``, the first here (:func:`split`); it sets ``out[r.start:r.stop]``."""
+
+    def produce(part: range) -> Iterator[np.ndarray]:
+        write(part)
+        yield out[part.start:part.stop]
+
+    def consume(part: range, records: Iterator[np.ndarray]) -> None:
+        out[part.start:part.stop] = next(records)
+
+    split(bounds, produce, consume)
+
+
 def split(
-    cuts: list[int],
+    bounds: list[int],
     produce: Callable[[range], Iterator[np.ndarray]],
     consume: Callable[[range, Iterator[np.ndarray]], None],
     kept: tuple[np.ndarray, ...] = (),
 ) -> None:
-    """``consume(r, produce(r))`` for each range r = ``range(cuts[w], cuts[w + 1])`` in order, the first here.
+    """``consume(r, produce(r))`` for each range r = ``range(bounds[w], bounds[w + 1])`` in order, the first here.
 
     Each other range runs in a child (see the module docstring).
     ``consume`` reads a child's arrays from an iterator that raises
     ``EOFError`` where the stream ends early.
     """
-    ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     children = []
     # one CPU each, where the mask is known: a new child can wait for the scheduler to move it off this CPU
     cpus = sorted(os.sched_getaffinity(0)) if len(ranges) > 1 and hasattr(os, "sched_getaffinity") else []
@@ -121,25 +152,20 @@ def _fork(produce: Callable[[range], Iterator[np.ndarray]], part: range, cpus: l
         os.close(read)
         os.close(write)
         return None, None
-    if pid == 0:
-        _child(produce, part, cpus, read, write)
+    if pid == 0:  # the child: produce ``part`` on ``cpus``, send the arrays and end the process
+        code = 1
+        try:
+            os.close(read)
+            _pin(cpus)
+            records = list(produce(part))
+            with os.fdopen(write, "wb") as out:
+                for record in records:
+                    _send(out, record)
+            code = 0
+        finally:
+            os._exit(code)
     os.close(write)  # before the next fork, so the stream ends when this child does
     return pid, os.fdopen(read, "rb")
-
-
-def _child(produce: Callable[[range], Iterator[np.ndarray]], part: range, cpus: list[int], read: int, write: int) -> None:
-    """Produce ``part`` on ``cpus`` in a forked child, send the arrays and end the process."""
-    code = 1
-    try:
-        os.close(read)
-        _pin(cpus)
-        records = list(produce(part))
-        with os.fdopen(write, "wb") as out:
-            for record in records:
-                _send(out, record)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _merged(part: range, consume: Callable[[range, Iterator[np.ndarray]], None], pid: int, stream) -> bool:

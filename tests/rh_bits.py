@@ -46,7 +46,7 @@ import numpy as np
 
 from oracles import dense_rh, make_network, screening_network, without_node
 from schednet import GeneratorConfig, generate_dag, prune_isolated, rh_global, rh_local, rh_local_all
-from schednet import heterogeneity
+from schednet import heterogeneity, parallel
 from schednet.heterogeneity import _block, _dot, _layout, _product
 from schednet.network import ActivityNetwork
 from schednet.reachability import closure
@@ -159,30 +159,34 @@ def split(network):
 def global_split(network):
     """``rh_global``'s value and product in one process, and split between two at every block-aligned cut."""
     n = network.n
-    table = closure(network)
-    w = weights(table.ancestor_counts)
-    # every product stays alive, so no later one is made in memory that already holds the right values
-    products = [heterogeneity._global_product(table._rows, w, [0, n])]
     step, last = _layout(n)
     cuts = range(step, last + 1, step)
-    forks, fork = [], os.fork
+    # every product stays alive, so no later one is made in memory that already holds the right values
+    products, forks, fork, fill = [], [], os.fork, heterogeneity.fill
+
+    def kept(out, bounds, write):
+        fill(out, bounds, write)
+        products.append(out)
 
     def counted():
         pid = fork()
         forks.append(pid)
         return pid
 
-    os.fork = counted
+    heterogeneity.fill, os.fork = kept, counted
     try:
-        products += [heterogeneity._global_product(table._rows, w, [0, cut, n]) for cut in cuts]
-        heterogeneity._SPLIT_ROWS = 0
         value = rh_global(network).value
+        for cut in cuts:  # the product's block costs cut after ``cut // step`` blocks
+            heterogeneity.cuts = lambda cost, above: [0, cut // step, len(cost)]
+            rh_global(network)
+        heterogeneity.cuts = parallel.cuts
+        heterogeneity._SPLIT_ROWS = 0
+        split = rh_global(network).value
     finally:
-        heterogeneity._SPLIT_ROWS, os.fork = math.inf, fork
+        heterogeneity._SPLIT_ROWS, heterogeneity.cuts, heterogeneity.fill, os.fork = math.inf, parallel.cuts, fill, fork
     one = products[0].tobytes()
     differ = [cut for cut, y in zip(cuts, products[1:]) if y.tobytes() != one]
-    return {"value": rh_global(network).value.hex(), "cuts": list(cuts), "differ": differ, "split": value.hex(),
-            "forks": len(forks)}
+    return {"value": value.hex(), "cuts": list(cuts), "differ": differ, "split": split.hex(), "forks": len(forks)}
 
 
 def wide(n):

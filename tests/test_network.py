@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import logging
 from datetime import date
@@ -61,6 +62,25 @@ class TestActivityRecord:
             "a", "A", date(2021, 1, 1), date(2021, 1, 5), actual_start=date(2021, 1, 2)
         )
         assert rec.actual_end is None
+
+    def test_records_are_slotted_frozen_values(self):
+        rec = ActivityRecord("a", "A", date(2021, 1, 1), date(2021, 1, 5))
+        dep = Dependency("a", "b")
+        for value in (rec, dep):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, "z")
+            with pytest.raises((TypeError, AttributeError)):  # CPython raises TypeError on a frozen slotted class
+                value.extra = 1
+        moved = dataclasses.replace(rec, actual_start=date(2021, 1, 2), actual_end=date(2021, 1, 6))
+        assert (moved.id, moved.actual_start, moved.actual_end) == ("a", date(2021, 1, 2), date(2021, 1, 6))
+        assert moved != rec
+        assert dataclasses.replace(moved, actual_start=None, actual_end=None) == rec
+        assert len({rec, ActivityRecord("a", "A", date(2021, 1, 1), date(2021, 1, 5)), moved}) == 2
+        assert dataclasses.replace(dep, successor="c") == Dependency("a", "c")
+        assert hash(dep) == hash(Dependency("a", "b")) and len({dep, Dependency("a", "b")}) == 1
+        with pytest.raises(ValueError, match="planned_end"):  # replace runs the same validation
+            dataclasses.replace(rec, planned_end=date(2020, 12, 31))
 
 
 class TestBuildNetwork:

@@ -20,11 +20,12 @@ from rh_bits import NETWORKS
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split stages fork")
 
-# (module, its split threshold, the function that does one piece of a range, the vector kept on the network or None)
+# (module, its split threshold, the owner and name of the function that does one piece of a range,
+# the vector kept on the network or None)
 CALLERS = {
-    "local RH": (heterogeneity, "_SPLIT_NODES", "_fill", "_local"),
-    "global RH": (heterogeneity, "_SPLIT_ROWS", "_blocks", None),
-    "shortest paths": (metrics, "_SPLIT_PAIRS", "_search", "_paths"),
+    "local RH": (heterogeneity, "_SPLIT_NODES", (heterogeneity._ReducedReach, "value_without"), "_local"),
+    "global RH": (heterogeneity, "_SPLIT_ROWS", (heterogeneity, "_blocks"), None),
+    "shortest paths": (metrics, "_SPLIT_PAIRS", (metrics, "_search"), "_paths"),
 }
 # a child killed while it sends this record (0-based): the search's 3 is inside its second batch, after the
 # parent has added the first batch's dependencies to the scores
@@ -124,9 +125,9 @@ class TestSplitFailures:
         assert run(caller, fresh(net)) == (expected, 0)
 
     def test_a_raising_parent_reaps_its_children(self, caller, monkeypatch):
-        module, _, work, kept = CALLERS[caller]
+        _, _, (owner, work), kept = CALLERS[caller]
         net = network(caller)
-        parent, piece = os.getpid(), getattr(module, work)
+        parent, piece = os.getpid(), getattr(owner, work)
 
         def failing(*args):
             if os.getpid() == parent:
@@ -134,7 +135,7 @@ class TestSplitFailures:
             time.sleep(30)  # a child ends only when it is killed
             return piece(*args)
 
-        monkeypatch.setattr(module, work, failing)
+        monkeypatch.setattr(owner, work, failing)
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="parent failed"):
             run(caller, net)
@@ -252,3 +253,70 @@ class TestSplitHelper:
         parallel._send(stream, np.arange(4.0))
         with pytest.raises(EOFError):
             next(parallel._records(io.BytesIO(stream.getvalue()[:-1])))
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestSplitCuts:
+    """The one cut rule of every split stage."""
+
+    def test_one_range_below_the_threshold(self, monkeypatch):
+        cpus(monkeypatch, 8)
+        assert parallel.cuts(np.ones(1000), False) == [0, 1000]
+        assert parallel.cuts(np.arange(50.0), False) == [0, 50]
+
+    def test_an_empty_cost(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        assert parallel.cuts(np.ones(0), True) == [0, 0]
+
+    def test_unit_costs_on_two_cpus_cut_at_the_middle(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        for n in range(1, 5000):
+            assert parallel.cuts(np.ones(n), True) == sorted({0, n // 2, n}), n
+
+    def test_one_dominant_item(self, monkeypatch):
+        cost = np.array([1, 1, 1000, 1, 1])
+        cpus(monkeypatch, 2)
+        assert parallel.cuts(cost, True) == [0, 2, 5]
+        cpus(monkeypatch, 3)
+        assert parallel.cuts(cost, True) == [0, 2, 3, 5]  # the dominant item alone
+        assert parallel.cuts(np.array([1000, 1, 1]), True) == [0, 1, 3]  # two shares in one item: one range fewer
+
+    def test_no_range_is_empty(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        for count in (2, 3, 5, 8):
+            cpus(monkeypatch, count)
+            for _ in range(200):
+                cost = rng.integers(0, 4, size=rng.integers(1, 30)) * rng.integers(1, 1000, size=1)
+                bounds = parallel.cuts(cost, True)
+                assert bounds[0] == 0 and bounds[-1] == len(cost) and len(bounds) <= count + 1, cost
+                assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), cost
+
+
+class TestSplitFill:
+    def test_the_first_range_runs_here_and_each_other_in_a_child(self):
+        out = np.zeros(7)
+
+        def write(part):
+            out[part.start:part.stop] = os.getpid()
+
+        parallel.fill(out, [0, 2, 5, 7], write)
+        here, first, second = os.getpid(), out[2], out[5]
+        assert out.tolist() == [here] * 2 + [first] * 3 + [second] * 2
+        assert len({here, first, second}) == 3
+        assert_no_child_left()
+
+    def test_a_child_that_fails_has_its_range_run_again_here(self):
+        parent, out = os.getpid(), np.zeros(6)
+
+        def write(part):
+            if os.getpid() != parent and part.start == 2:
+                raise RuntimeError("child failed")
+            out[part.start:part.stop] = os.getpid()
+
+        parallel.fill(out, [0, 2, 4, 6], write)
+        assert out[:4].tolist() == [parent] * 4
+        assert out[4] == out[5] != parent
+        assert_no_child_left()
