@@ -23,7 +23,9 @@ from dataclasses import fields
 from datetime import date
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -378,11 +380,11 @@ class _Run:
         return reachability_table(self.network)
 
     @cached_property
-    def rh_rows(self) -> list[tuple[str, float]]:
-        """(id, local RH) by descending value, ties by id."""
-        nodes, values = self.network.nodes, rh_local_all(self.network).values
-        order = sorted(range(len(nodes)), key=lambda i: (-values[i], nodes[i].id))
-        return [(nodes[i].id, float(values[i])) for i in order]
+    def rh_rows(self) -> tuple[list[str], list[float]]:
+        """Node ids and their local RH, by descending value, ties by id; sorted on Python lists, not numpy scalars."""
+        ids, values = list(self.network.node_ids), rh_local_all(self.network).values.tolist()
+        order = sorted(range(len(ids)), key=lambda i: (-values[i], ids[i]))
+        return [ids[i] for i in order], [values[i] for i in order]
 
     @cached_property
     def suite(self) -> list[MetricVector]:
@@ -447,8 +449,8 @@ def _manifest(
 
 
 def _metrics_csv(network: ActivityNetwork, suite: list[MetricVector]) -> str:
-    rows = ([rec.id, *(vector.values[i] for vector in suite)] for i, rec in enumerate(network.nodes))
-    return _csv("id," + ",".join(vector.name for vector in suite), rows)
+    columns = [network.node_ids, *(vector.values for vector in suite)]
+    return _csv("id," + ",".join(vector.name for vector in suite), columns)
 
 
 def _bin_rows(run: _Run) -> list[dict[str, Any]]:
@@ -466,6 +468,12 @@ def _bin_rows(run: _Run) -> list[dict[str, Any]]:
     ]
 
 
+def _bins_csv(run: _Run) -> str:
+    stats = run.binned
+    columns = [stats.bin_edges[:-1], stats.bin_edges[1:], stats.count, *(getattr(stats, name) for name in BIN_STATS)]
+    return _csv("bin_lo,bin_hi,count," + ",".join(BIN_STATS), columns)
+
+
 def _benchmark_rows(run: _Run) -> list[dict[str, Any]]:
     """Metric, MI in the ``--log-base`` unit and rank, in suite order."""
     factor = 1.0 / math.log(2.0) if run.args.log_base == "2" else 1.0
@@ -473,6 +481,12 @@ def _benchmark_rows(run: _Run) -> list[dict[str, Any]]:
         {"metric": entry.metric, "mi": entry.mi * factor, "rank": entry.rank}
         for entry in run.report.entries
     ]
+
+
+def _benchmark_csv(run: _Run) -> str:
+    rows = _benchmark_rows(run)
+    columns = [[row["metric"] for row in rows], *(np.array([row[key] for row in rows]) for key in ("mi", "rank"))]
+    return _csv("metric,mi,rank", columns)
 
 
 def _tail_csv(run: _Run, which: str) -> str:
@@ -487,14 +501,12 @@ ARTIFACTS: dict[str, Callable[[_Run], str]] = {
     "rh.json": lambda run: _json(
         {
             "global": rh_local_all(run.network).global_score.value,
-            "local": [{"id": node_id, "value": value} for node_id, value in run.rh_rows],
+            "local": [{"id": node_id, "value": value} for node_id, value in zip(*run.rh_rows)],
         }
     ),
-    "rh.csv": lambda run: _csv("id,local_rh", run.rh_rows),
+    "rh.csv": lambda run: _csv("id,local_rh", [run.rh_rows[0], np.array(run.rh_rows[1])]),
     "metrics.csv": lambda run: _metrics_csv(run.network, run.suite),
-    "bins.csv": lambda run: _csv(
-        "bin_lo,bin_hi,count," + ",".join(BIN_STATS), (row.values() for row in _bin_rows(run))
-    ),
+    "bins.csv": _bins_csv,
     "bins.json": lambda run: _json(
         {
             "metric": run.axis.name,
@@ -502,7 +514,7 @@ ARTIFACTS: dict[str, Callable[[_Run], str]] = {
             "bins": [{key: _none_if_nan(value) for key, value in row.items()} for row in _bin_rows(run)],
         }
     ),
-    "benchmark.csv": lambda run: _csv("metric,mi,rank", (row.values() for row in _benchmark_rows(run))),
+    "benchmark.csv": _benchmark_csv,
     "benchmark.json": lambda run: _json(
         {"log_base": run.args.log_base, "n_bins": run.report.n_bins, "metrics": _benchmark_rows(run)}
     ),
@@ -592,6 +604,11 @@ def _rows(items: Sequence[Any], indent: str) -> tuple[str, list[Any]] | None:
 
     There is one where every item is a dict with the same str keys, or
     every item a list of the same length, and no item holds a container.
+    Like :func:`_csv`, this works on all cells at once, not cell by cell:
+    one C-level pass, ``set(map(type, cells))``, checks that every cell's
+    exact type is str, int, float, bool or NoneType. Only where a cell has
+    another type (a namedtuple or a numpy scalar, say) does a scan by
+    ``isinstance`` look for a container among them.
     """
     first, inner = items[0], indent + "  "
     if type(first) is dict and first:
@@ -610,13 +627,51 @@ def _rows(items: Sequence[Any], indent: str) -> tuple[str, list[Any]] | None:
         cells = [cell for item in items for cell in item]
     else:
         return None
-    return None if any(isinstance(cell, (dict, list, tuple)) for cell in cells) else (layout, cells)
+    if set(map(type, cells)) <= _SCALARS or not any(isinstance(cell, (dict, list, tuple)) for cell in cells):
+        return layout, cells
+    return None
 
 
-def _csv(header: str, rows: Iterable[Iterable[Any]]) -> str:
-    """CSV text by :func:`~schednet.schedule_io.csv_text`, its numbers through :func:`_fmt`."""
-    cells = [[cell if isinstance(cell, str) else _fmt(cell) for cell in row] for row in rows]
-    return csv_text(header.split(","), cells)
+_SCALARS = {str, int, float, bool, type(None)}  # exact cell types that are never containers
+
+
+def _csv(header: str, columns: Sequence[Sequence[Any]]) -> str:
+    """CSV text by :func:`~schednet.schedule_io.csv_text`, rendered a column at a time, not cell by cell.
+
+    A column is a numpy array of numbers or a sequence of str, written as
+    it is. The number columns are formatted together by :func:`_numbers`,
+    in whole-array passes by :func:`_fmt`'s rule, and the columns are
+    zipped into rows at the end.
+    """
+    cells = list(columns)
+    at = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray)]
+    if at:  # every number column in one pass
+        texts, m = _numbers(np.concatenate([columns[i] for i in at])), len(columns[at[0]])
+        for j, i in enumerate(at):
+            cells[i] = texts[j * m:(j + 1) * m]
+    return csv_text(header.split(","), list(zip(*cells)))
+
+
+def _numbers(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every entry of ``values``, taken in whole-array passes.
+
+    Entries that are integral and below 1e15 in absolute value print as
+    ints, all through one ``astype(int64).tolist()``, so a column of them
+    takes no ``repr``; every other entry prints as the ``repr`` of its
+    float, and NaN as "". An infinite entry raises as it does in ``_fmt``.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    infinite = np.isinf(x)
+    if infinite.any():
+        _fmt(x[infinite][0])  # raises OverflowError
+    whole = (x == np.trunc(x)) & (np.abs(x) < 1e15)
+    if whole.all():
+        return list(map(str, x.astype(np.int64).tolist()))
+    cells = np.empty(len(x), dtype=object)
+    cells[whole] = list(map(str, x[whole].astype(np.int64).tolist()))
+    cells[~whole] = list(map(repr, x[~whole].tolist()))
+    cells[np.isnan(x)] = ""
+    return cells.tolist()
 
 
 def _save(out: str, texts: dict[str, str]) -> Path:

@@ -159,18 +159,27 @@ def load_network(
 
 
 def network_to_json(network: ActivityNetwork) -> dict[str, Any]:
+    iso = _IsoDates()  # each distinct date is formatted once
     nodes = [
         {
             "id": rec.id,
             "name": rec.name,
-            "planned_start": rec.planned_start.isoformat(),
-            "planned_end": rec.planned_end.isoformat(),
-            "actual_start": rec.actual_start.isoformat() if rec.actual_start else None,
-            "actual_end": rec.actual_end.isoformat() if rec.actual_end else None,
+            "planned_start": iso[rec.planned_start],
+            "planned_end": iso[rec.planned_end],
+            "actual_start": iso[rec.actual_start],
+            "actual_end": iso[rec.actual_end],
         }
         for rec in network.nodes
     ]
     return {"nodes": nodes, "edges": [[s, t] for s, t in network.edges]}
+
+
+class _IsoDates(dict):
+    """A date's ISO text by the date, made on first lookup; None for None."""
+
+    def __missing__(self, day: date | None) -> str | None:
+        self[day] = text = day.isoformat() if day else None
+        return text
 
 
 def network_from_json(data: dict[str, Any]) -> ActivityNetwork:

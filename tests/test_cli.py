@@ -14,9 +14,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +41,7 @@ from schednet import (
     write_dependencies,
 )
 from schednet.cli import main
-from schednet.schedule_io import activities_csv, dependencies_csv
+from schednet.schedule_io import activities_csv, csv_text, dependencies_csv
 from oracles import traced_peak
 
 ACTIVITIES = """id,name,planned_start,planned_end,actual_start,actual_end
@@ -494,9 +496,61 @@ def test_ids_that_need_quoting_read_back_from_rh_and_metrics_csv(tmp_path, capsy
     + [("a,1", '"a,1"'), ('c"x', '"c""x"'), ("cr\rhere", '"cr\rhere"'), ("lf\nhere", '"lf\nhere"')],
 )
 def test_csv_quotes_a_string_only_where_it_holds_a_comma_quote_or_line_break(text, cell):
-    written = schednet.cli._csv("id,x", [(text, 1.5)])
+    written = schednet.cli._csv("id,x", [[text], np.array([1.5])])
     assert written == f"id,x\n{cell},1.5\n"
     assert list(csv.reader(io.StringIO(written, newline=""))) == [["id", "x"], [text, "1.5"]]
+
+
+# the edges of _fmt's int rule, subnormals and NaN
+EDGE_NUMBERS = [
+    -0.0, 0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 2.0**53, -(2.0**53), 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-310, math.nan, -math.nan, 0.1, 1.5, -7.0,
+]
+FLOAT64 = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+def cell_path(values):
+    return [schednet.cli._fmt(value) for value in values]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(values=st.lists(FLOAT64 | st.sampled_from(EDGE_NUMBERS), max_size=40))
+def test_number_columns_equal_fmt_cell_for_cell(values):
+    values = [value for value in values if not math.isinf(value)]
+    assert schednet.cli._numbers(np.array(values, dtype=np.float64)) == cell_path(values)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-(10**15), 10**15), max_size=20))
+def test_integer_columns_equal_fmt_cell_for_cell(values):
+    assert schednet.cli._numbers(np.array(values, dtype=np.int64)) == cell_path(values)
+
+
+def test_number_columns_equal_fmt_at_every_edge_value():
+    assert schednet.cli._numbers(np.array(EDGE_NUMBERS)) == cell_path(EDGE_NUMBERS)
+    assert schednet.cli._numbers(np.array([3.0, -0.0, 1e15 - 1])) == ["3", "0", "999999999999999"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_number_columns_raise_as_fmt_on_infinity(value):
+    with pytest.raises(Exception) as cell:
+        schednet.cli._fmt(value)
+    with pytest.raises(cell.type):
+        schednet.cli._numbers(np.array([1.5, 2.0, value, math.nan]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    rows=st.lists(
+        st.tuples(st.text(st.sampled_from('ab,"\r\n é'), max_size=5), FLOAT64.filter(lambda x: not math.isinf(x)),
+                  st.integers(-(10**16), 10**16)),
+        max_size=12,
+    )
+)
+def test_csv_columns_equal_the_cell_path(rows):
+    columns = [[row[0] for row in rows], np.array([row[1] for row in rows]), np.array([row[2] for row in rows])]
+    cells = [[row[0], *cell_path(row[1:])] for row in rows]
+    assert schednet.cli._csv("id,x,n", columns) == csv_text(["id", "x", "n"], cells)
 
 
 class TestMetricsCommand:
@@ -965,14 +1019,23 @@ def test_mutated_schedules_exit_with_a_documented_code_and_an_error_line(activit
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(), max_size=6)
+Pair = namedtuple("Pair", "first second")
+# cells of like rows: plain scalars, which pass the exact type check, and tuples, namedtuples and numpy floats,
+# which take the fallback scan
+JSON_CELLS = (
+    JSON_SCALARS
+    | st.floats().map(np.float64)
+    | st.tuples(JSON_SCALARS, JSON_SCALARS)
+    | st.builds(Pair, JSON_SCALARS, JSON_SCALARS)
+)
 # lists of dicts with one key set and lists of one length, whose layout the renderer writes once per list,
 # and lists of lists of mixed lengths, which it lays out item by item
 JSON_ROWS = (
     st.sets(st.text(st.sampled_from('ab%s"\\\né'), max_size=3), min_size=1, max_size=3).flatmap(
-        lambda keys: st.lists(st.fixed_dictionaries({key: JSON_SCALARS for key in keys}), min_size=1, max_size=4)
+        lambda keys: st.lists(st.fixed_dictionaries({key: JSON_CELLS for key in keys}), min_size=1, max_size=4)
     )
-    | st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(JSON_SCALARS, min_size=k, max_size=k), min_size=1, max_size=4))
-    | st.lists(st.lists(JSON_SCALARS, min_size=1, max_size=3), min_size=2, max_size=4)
+    | st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(JSON_CELLS, min_size=k, max_size=k), min_size=1, max_size=4))
+    | st.lists(st.lists(JSON_CELLS, min_size=1, max_size=3), min_size=2, max_size=4)
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS | JSON_ROWS,

@@ -748,6 +748,70 @@ def global_value(net, split_rows=0, cpus=2):
     return value, len(forks)
 
 
+def layered(widths, seed):
+    """A generated network with one layer per width, isolated nodes kept, so n is their sum."""
+    config = GeneratorConfig(layer_count=len(widths), layer_width=tuple(widths), edge_probability=0.2, skip_depth=3,
+                             seed=seed)
+    return generate_dag(config)
+
+
+@st.composite
+def tiny_dags(draw):
+    """A DAG on 0-3 nodes, often with isolated nodes, whose index order is shuffled against its edges."""
+    n = draw(st.integers(0, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ids = [f"t{p}" for p in draw(st.permutations(range(n)))]
+    return make_network(ids, [(ids[i], ids[j]) for (i, j), k in zip(pairs, keep) if k])
+
+
+def assert_matches_rebuilt_networks(net, single=None):
+    """Every sweep value is the base score minus ``rh_global`` of the rebuilt network, to the bit, and
+    ``rh_local`` equals the sweep's entry at the nodes ``single`` (all by default)."""
+    vector = rh_local_all(net)
+    base = vector.global_score.value
+    assert base == rh_global(net).value
+    expected = np.array([base - rh_global(without_node(net, v)).value for v in range(net.n)])
+    assert vector.values.tobytes() == expected.tobytes()
+    for v in range(net.n) if single is None else single:
+        assert rh_local(net, v) == vector.values[v], v
+
+
+class TestOneBlock:
+    """Where one ``_product`` block holds all of R' (cut 0), d' and a' are that block's row and column sums."""
+
+    def test_last_network_in_the_regime(self):
+        net = layered([16] * 16, seed=3)
+        assert net.n == 256 and heterogeneity._ReducedReach(net).cut == 0
+        assert_matches_rebuilt_networks(net, single=range(0, net.n, 15))
+
+    def test_first_network_past_it(self):
+        net = layered([16] * 15 + [17], seed=3)
+        assert net.n == 257 and heterogeneity._ReducedReach(net).cut == 256
+        assert_matches_rebuilt_networks(net, single=range(0, net.n, 16))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(tiny_dags())
+    def test_networks_of_at_most_three_nodes(self, net):
+        assert heterogeneity._ReducedReach(net).cut == 0
+        assert_matches_rebuilt_networks(net)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dags())
+    def test_small_networks_with_isolated_nodes(self, net):
+        assert_matches_rebuilt_networks(net)
+
+    @needs_fork
+    def test_forced_split_keeps_the_bytes(self):
+        net = layered([12] * 8, seed=11)
+        assert heterogeneity._ReducedReach(net).cut == 0
+        values, forks = swept(net)
+        assert forks == 1
+        assert values.tobytes() == one_process_values(net).tobytes()
+        assert values.tobytes() == rh_local_all(net).values.tobytes()
+        assert_no_child_left()
+
+
 @needs_fork
 class TestSplitGlobal:
     """Above ``_SPLIT_ROWS`` nodes the product of ``rh_global`` is split between processes, with the same bits."""
