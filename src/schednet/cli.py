@@ -606,9 +606,9 @@ def _rows(items: Sequence[Any], indent: str) -> tuple[str, list[Any]] | None:
     every item a list of the same length, and no item holds a container.
     Like :func:`_csv`, this works on all cells at once, not cell by cell:
     one C-level pass, ``set(map(type, cells))``, checks that every cell's
-    exact type is str, int, float, bool or NoneType. Only where a cell has
-    another type (a namedtuple or a numpy scalar, say) does a scan by
-    ``isinstance`` look for a container among them.
+    exact type is str, int, float, bool or NoneType. Where a cell has
+    another type (a namedtuple or a numpy scalar, say), there is no layout,
+    and :func:`_layout` lays the items out one by one.
     """
     first, inner = items[0], indent + "  "
     if type(first) is dict and first:
@@ -627,9 +627,7 @@ def _rows(items: Sequence[Any], indent: str) -> tuple[str, list[Any]] | None:
         cells = [cell for item in items for cell in item]
     else:
         return None
-    if set(map(type, cells)) <= _SCALARS or not any(isinstance(cell, (dict, list, tuple)) for cell in cells):
-        return layout, cells
-    return None
+    return (layout, cells) if set(map(type, cells)) <= _SCALARS else None
 
 
 _SCALARS = {str, int, float, bool, type(None)}  # exact cell types that are never containers

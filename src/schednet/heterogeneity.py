@@ -288,7 +288,7 @@ class _ReducedReach:
         # pair density on every network measured, so this keeps it under ~60%
         self.partial = self.cut >= 4 * step and 16 * table.pair_count < n * n
         self.block = _block(size)
-        self.ones = np.ones(size)
+        self.ones = None if self.cut else np.ones(size)  # only the one-block regime sums its block
         self.removed: int | None = None
         self.slot = np.arange(n)
         self.patched = np.empty(0, dtype=np.int64)

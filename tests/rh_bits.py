@@ -81,6 +81,9 @@ NETWORKS = {
     "sparse": lambda: relabelled(
         generated(layer_count=20, layer_width=30, edge_probability=0.02, skip_depth=2, seed=5), seed=5
     ),
+    # n=256, the largest network whose local sweep takes one product block (cut 0); its 255 x 255 products
+    # are split between BLAS threads
+    "one-block-256": lambda: shuffled_dag(256, 0.02, 256),
     # n=433 streams in blocks of 144 rows, so its last block would hold one row
     "one-row-433": lambda: shuffled_dag(433, 0.01, 2),
 }

@@ -298,11 +298,16 @@ class TestFloatContract:
 
     @openblas_kernels
     def test_local_sweep_keeps_its_bits_at_two_threads(self):
-        # one whole-matrix dgemv per node gives this network other local values at two threads
-        one = rh_bits(["dense"], 1, local=True)["dense"]
-        two = rh_bits(["dense"], 2, local=True)["dense"]
-        assert two["local"] == one["local"]
-        assert two["value"] == one["value"]
+        # one whole-matrix dgemv per node gives dense other local values at two threads; one-block-256 takes
+        # the one-block regime, whose row and column sums and product cover all of R' in one call each
+        names = ["dense", "one-block-256"]
+        assert heterogeneity._ReducedReach(NETWORKS["one-block-256"]()).cut == 0
+        one = rh_bits(names, 1, local=True)
+        two = rh_bits(names, 2, local=True)
+        for name in names:
+            assert two[name]["local"] == one[name]["local"], name
+            assert two[name]["value"] == one[name]["value"], name
+        assert one["one-block-256"]["sampled"] == one["one-block-256"]["rebuilt"]
 
     @openblas_kernels
     @pytest.mark.parametrize("coretype", [None, "Haswell", "Nehalem"], ids=["default", "Haswell", "Nehalem"])
