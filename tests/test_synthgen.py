@@ -23,7 +23,8 @@ from schednet import (
     write_dependencies,
 )
 from schednet.network import ActivityNetwork
-from schednet.synthgen import MAX_DRAWS, draw_count
+from schednet.schedule_io import activities_csv, dependencies_csv
+from schednet.synthgen import DAYS_BEFORE, MAX_DRAWS, draw_count
 
 
 QUIET = PropagationConfig(slack_days=0, clamp_negative=True)
@@ -182,6 +183,70 @@ def test_generated_csvs_keep_their_pinned_bytes(shape, tmp_path):
     write_dependencies(tmp_path / "d.csv", [Dependency(ids[s], ids[t]) for s, t in net.edges])
     assert hashlib.sha256((tmp_path / "a.csv").read_bytes()).hexdigest() == activities
     assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == dependencies
+
+
+def test_ids_past_99999_are_indexed_in_ascending_id_order():
+    # 101,000 generated activities: A100000 sorts between A10000 and A10001
+    net = generate_dag(GeneratorConfig(layer_count=1000, layer_width=101, edge_probability=0.01, seed=2))
+    ids = net.node_ids
+    assert list(ids) == sorted(ids) and ids[-1] == "A99999" and "A100000" in net.index_of
+    deps = [Dependency(ids[s], ids[t]) for s, t in net.edges]
+    assert hashlib.sha256(activities_csv(net.nodes).encode()).hexdigest() == (
+        "0deb629905db0673ea76225bab0fabf60570a64c5f62503c4cd77e1345c6c05e"
+    )
+    assert hashlib.sha256(dependencies_csv(deps).encode()).hexdigest() == (
+        "0e4be87b8af54611f2f5a83ab5d11a469d97eb58b3b0724e0e34ac292110b80b"
+    )
+
+
+SIMULATED_SHAPES = {
+    **{shape: config for shape, (config, _, _) in PINNED_SHAPES.items()},
+    "small batch": dict(layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3, seed=3),
+}
+# the widest range that keeps every date of these shapes in the calendar; numpy's rejection loop is checked
+# on wider ranges by test_bounded_draws_equal_numpy_integers
+WIDE = NoiseSpec.uniform(-DAYS_BEFORE, 2**17)
+SIMULATED_NOISES = {str(noise): noise for noise in (
+    NoiseSpec.none(), NoiseSpec.uniform(-3, 5), NoiseSpec.uniform(4, 4), WIDE, NoiseSpec.two_point(0.15, 10)
+)}
+# sha256 over the activities.csv of every seed, slack and clamp below, in that nesting, for each shape and
+# noise; recorded while every activity still drew from a numpy Generator of its own
+SIMULATED = {
+    ("per-layer widths", "none"): "3e2d8a0c2acc7af6b51abaef77a6818809b561623fd9ab8c41643518ae2f0210",
+    ("per-layer widths", "uniform:-3,5"): "d7c7bac21a8b5bfc2f9b394e8cb158729addbe8271f10587a507f58b2be28e77",
+    ("per-layer widths", "uniform:4,4"): "da6d75826fc60e073ba97e1b631a2c20515a5e022cfd1a0a8659b260928c417c",
+    ("per-layer widths", str(WIDE)): "41c8e57412c8a55f09cd03908bc168f5898117735ad707408936b8ddf23f97e9",
+    ("per-layer widths", "two_point:0.15,10"): "6a782a2281afc4f6318aedf24b59dae7c7c0d479391d3641e2aad5becf6a145b",
+    ("skip past the last layer", "none"): "1468a18881a04d91d4626695cf2306eece14fcea3b1a2bac068b5a576e5be1cb",
+    ("skip past the last layer", "uniform:-3,5"): "fb17ed4a78a3de77d456d07477822451939df4f025341bfec1441f8f877e4e87",
+    ("skip past the last layer", "uniform:4,4"): "e3de9583696ab01c082b58a2f7fd54f9fcaf035538d770a61546ab19bca5d760",
+    ("skip past the last layer", str(WIDE)): "13f3f2329e0faa56fc85342890736c43218b1abbf08ba6aa85f176a422c40bfa",
+    ("skip past the last layer", "two_point:0.15,10"): (
+        "c9ce4195be75df04070a892175e085a735549224e884c4f5d55af873c79d19f3"
+    ),
+    ("every edge", "none"): "587b4faace3df3b6e1f3addd33a881af5574d41f343f7794ef41e3bbe704eec0",
+    ("every edge", "uniform:-3,5"): "559cd0529b7bbcfa3a001b4f7ee2ccefbd96f7cb4019e8b2f01bab430d47b9a7",
+    ("every edge", "uniform:4,4"): "285c8f15122f5d5983f6ed3e774ee91c493c34e3e75a1fb373ba6b791c7e3240",
+    ("every edge", str(WIDE)): "c08541b1f2dc40c284036a85d2c21d6892348bda5f8e4945cdc3645d331ed9ae",
+    ("every edge", "two_point:0.15,10"): "d7490d1d7e29a9b72b78b8231edf3475867b1dff908985a07d461211743f40ec",
+    ("small batch", "none"): "34af140fe26e591d1131cde43cb49e0845bbbbc70261fed67ba2ed1438a9d2a8",
+    ("small batch", "uniform:-3,5"): "55fec50bcdde11880383eef1e3ed1241952e8419d2795c78a89a30e9d2edeab1",
+    ("small batch", "uniform:4,4"): "fb2a0bfb19af61adbfba7293db83aece113f3adca710d2953f5845741c5f1954",
+    ("small batch", str(WIDE)): "8b5ebdd786f0026086c9736c9f8e64f3fdb2ba1b00f1c283336fe3634ea5bfe6",
+    ("small batch", "two_point:0.15,10"): "2f8c47a35d66836d22a8525ce2483236bf7d2a11679617828849275b7efe1dbd",
+}
+
+
+@pytest.mark.parametrize("shape, noise", SIMULATED)
+def test_simulated_csvs_keep_their_pinned_bytes(shape, noise):
+    net = generate_dag(GeneratorConfig(**SIMULATED_SHAPES[shape]))
+    digest = hashlib.sha256()
+    for seed in (0, 7, 2**32 + 5, 2**64 + 3):  # one to three words of seed entropy
+        for slack in (0, 1):
+            for clamp in (True, False):
+                sim = simulate_delays(net, PropagationConfig(slack, clamp), SIMULATED_NOISES[noise], seed)
+                digest.update(activities_csv(sim.nodes).encode())
+    assert digest.hexdigest() == SIMULATED[shape, noise]
 
 
 class TestSimulateDelays:
