@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schednet import (
     DegenerateConfig,
@@ -24,7 +26,7 @@ from schednet import (
 )
 from schednet.network import ActivityNetwork
 from schednet.schedule_io import activities_csv, dependencies_csv
-from schednet.synthgen import DAYS_BEFORE, MAX_DRAWS, draw_count
+from schednet.synthgen import DAYS_BEFORE, MAX_DRAWS, _integers, _noise_draws, _seed_state, _Streams, draw_count
 
 
 QUIET = PropagationConfig(slack_days=0, clamp_negative=True)
@@ -347,3 +349,73 @@ class TestSimulateDelays:
         assert sim.edges == diamond.edges
         assert sim.node_ids == diamond.node_ids
         assert topological_order(sim) == topological_order(diamond)
+
+    def test_unknown_shock_id_with_a_bad_value_still_raises_key_error(self, path3):
+        with pytest.raises(KeyError):
+            simulate_delays(path3, QUIET, NoiseSpec.none(), seed=1, shocks={"zz": 2.5})
+
+    @pytest.mark.parametrize("days", [2.7, -2.7, 3.0, "3", True, None])
+    def test_shock_must_be_whole_days(self, path3, days):
+        with pytest.raises(ValueError, match="shock for activity 'a' must be a whole number of days"):
+            simulate_delays(path3, QUIET, NoiseSpec.uniform(0, 3), seed=1, shocks={"a": days})
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.uniform(0, 3), NoiseSpec.two_point(0.5, 2)])
+    @pytest.mark.parametrize("seed", [1.0, 2.5, "1", True])
+    def test_seed_must_be_an_integer(self, path3, noise, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_delays(path3, QUIET, noise, seed=seed)
+
+    def test_numpy_integers_count_as_integers(self, path3):
+        noise = NoiseSpec.uniform(-2, 4)
+        expected = simulate_delays(path3, QUIET, noise, seed=9, shocks={"b": 3})
+        assert simulate_delays(path3, QUIET, noise, seed=np.int64(9), shocks={"b": np.int32(3)}) == expected
+
+    def test_no_generator_is_built_per_activity(self, diamond, monkeypatch):
+        for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, None)
+        for noise in (NoiseSpec.uniform(-2, 4), NoiseSpec.two_point(0.5, 3)):
+            simulate_delays(diamond, QUIET, noise, seed=2)
+
+
+def id_hash(node_id):
+    return int.from_bytes(hashlib.sha256(node_id.encode("utf-8")).digest()[:8], "big")
+
+
+class TestBulkDraws:
+    """The bulk PCG64 draws against numpy's own SeedSequence, PCG64 and Generator."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8), min_size=1, max_size=6))
+    def test_seed_state_equals_seed_sequence(self, rows):
+        # rows of 1-8 words side by side: padded pools, the extra mixing loop, and one-word id hashes
+        entropy = np.zeros((len(rows), 8), dtype=np.uint32)
+        for k, row in enumerate(rows):
+            entropy[k, : len(row)] = row
+        state = np.column_stack(_seed_state(entropy, np.array([len(row) for row in rows])))
+        for k, row in enumerate(rows):
+            assert state[k].tolist() == np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**130)),
+        ids=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8, unique=True),
+        noise=st.sampled_from([
+            NoiseSpec.uniform(-3, 5), NoiseSpec.uniform(4, 4), NoiseSpec.uniform(-DAYS_BEFORE, DAYS_BEFORE),
+            NoiseSpec.two_point(0.15, 10), NoiseSpec.two_point(1.0, -4), NoiseSpec.two_point(0.0, 2),
+        ]),
+    )
+    def test_draws_equal_noise_spec_draw(self, seed, ids, noise):
+        first, second = _noise_draws(noise, seed, ids)
+        for node_id, start, end in zip(ids, first, second):
+            rng = np.random.default_rng([seed, id_hash(node_id)])
+            assert (noise.draw(rng), noise.draw(rng)) == (start, end)
+
+    @pytest.mark.parametrize("span", [0, 1, 9, 3 * 2**20, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2])
+    def test_bounded_draws_equal_numpy_integers(self, span):
+        # spans past 2**31 reject up to half the draws, so rows re-draw, some more than once
+        ids = [f"A{i:05d}" for i in range(64)]
+        streams = _Streams(7, ids)
+        draws = [_integers(streams, -5, span).tolist() for _ in range(3)]
+        for k, node_id in enumerate(ids):
+            rng = np.random.default_rng([7, id_hash(node_id)])
+            assert [int(rng.integers(-5, -4 + span)) for _ in range(3)] == [d[k] for d in draws]
