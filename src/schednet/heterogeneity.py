@@ -68,12 +68,9 @@ misses T = {k-1, k} + desc(k-1) + desc(k), and the rows to refresh are
 the nodes of T and their ancestors. Those below the last block of
 ``_product`` go through gathered blocks of whole 8-row groups, padded
 with zero rows; the last block, which holds the ``n % 4`` tail rows, is
-recomputed whole at every node. The first node refreshes every row, and
-so does every node of a network whose closure holds at least n^2/16
-pairs or whose reduced matrix spans fewer than four product blocks:
-there most rows change anyway, or the product costs less than finding
-the rows. On the acceptance-c7 network a node refreshes about 13% of
-them.
+recomputed whole at every node. A node that does not follow the one
+before it, the first of a range or a lone ``rh_local``, refreshes every
+row. On the acceptance-c7 network a node refreshes about 13% of them.
 
 Two stages split between processes by the cut rule of ``parallel.cuts``
 and run through ``parallel.fill``: this process computes the first range
@@ -283,10 +280,7 @@ class _ReducedReach:
         self.inverse = _inverse_roots(n)
         size = max(n - 1, 0)
         self.y = np.empty(size, dtype=np.float64)
-        step, self.cut = _layout(size)
-        # the share of rows a node refreshes ran near ten times the closure's
-        # pair density on every network measured, so this keeps it under ~60%
-        self.partial = self.cut >= 4 * step and 16 * table.pair_count < n * n
+        self.cut = _layout(size)[1]
         self.block = _block(size)
         self.ones = None if self.cut else np.ones(size)  # only the one-block regime sums its block
         self.removed: int | None = None
@@ -329,7 +323,7 @@ class _ReducedReach:
             lost = _bits(self.rows[cone[start:start + step]] ^ reduced[start:start + step], self.n)
             a -= np.add.reduce(lost, axis=0, dtype=np.int64)  # not .sum, which costs a few us more a call
         d, a = _without(d, k), _without(a, k)
-        rows = self._dirty(k) if follows and self.partial else np.arange(self.cut)
+        rows = self._dirty(k) if follows else np.arange(self.cut)
         _product(self.y, self.bytes, self.slot, k, self.inverse[a], rows, self.block)
         return _rh(_dot(self.inverse[d], self.y), d, a)
 
@@ -401,10 +395,13 @@ class _ReducedReach:
 
         Those are the rows that reach, or are, a node of T = {k-1, k} +
         desc(k-1) + desc(k): only they change, or read a w that changes.
+        T holds the descendants of its nodes, so each of them reaches a sink
+        of T, and the rows that reach T are those that reach its sinks.
         """
-        touched = _bits(self.rows[k - 1] | self.rows[k], self.n)
-        touched[k - 1:k + 1] = 1
-        reach = np.bitwise_or.reduce(self.ancestors[touched.view(bool)], axis=0)
+        touched = _bits(self.rows[k - 1] | self.rows[k], self.n).view(bool)
+        touched[k - 1:k + 1] = True
+        # a gather by index, which takes half the time of one by boolean mask here
+        reach = np.bitwise_or.reduce(self.ancestors[np.flatnonzero(touched & (self.degree == 0))], axis=0)
         dirty = _without(_bits(reach, self.n), k)
         return np.flatnonzero(dirty[:self.cut])
 

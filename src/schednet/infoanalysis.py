@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateMetricWarning, InsufficientData
 from .metrics import MetricVector, metric_suite
 from .network import ActivityNetwork
-from .performance import DelayVector, uniform_bin_indices
+from .performance import DelayVector, _paired, uniform_bin_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +85,7 @@ def frequency_matrix(
         ValueError: the metric and delay vectors differ in length.
         InsufficientData: fewer than two valid paired observations.
     """
-    if len(x.values) != len(y.days):
-        raise ValueError("metric and delay vectors differ in length")
-    mask = np.asarray(y.valid, dtype=bool)
-    xv = x.values[mask]
-    yv = y.days[mask].astype(np.float64)
+    xv, yv = _paired(x, y)
     valid = len(xv)
     if valid < 2:
         raise InsufficientData(2, valid)

@@ -85,6 +85,20 @@ def betweenness(network: ActivityNetwork) -> MetricVector:
     These are the bits of one search per source with the sources in
     ascending order, whatever the batch limits (:func:`_limits`) and
     however the batches are split between processes (:func:`_scores`).
+
+    Path counts stay finite at any depth. A count at depth D is at most
+    the largest in-degree to the power D, so a batch whose levels keep
+    that under ``_SIGMA_BOUND`` (2**512) runs as above. In any other
+    batch, a level whose largest count passes the bound divides each
+    source's counts there by a power of two, the one that brings that
+    source's largest count into [0.5, 1) (:func:`_rescaled`); sources at
+    or below the bound keep theirs. ``delta`` reads only the ratios of
+    counts one level apart, so the backward pass multiplies each
+    coefficient by the same power of two to restore them. A power of two
+    is exact in binary floating point, so a rescaled batch keeps the bits
+    it would have without rescaling, wherever those stay finite. One
+    source's counts at one level must stay within about 2**1000 of each
+    other: past that its smallest underflow, and the scores are not finite.
     """
     return _paths(network)[0]
 
@@ -130,6 +144,7 @@ def _paths(network: ActivityNetwork) -> tuple[MetricVector, MetricVector, Metric
 
 _SPLIT_PAIRS = 100_000  # closures with more reachable pairs split the search between processes (measured)
 _LEVEL_PAIRS = 256  # a search level's fixed numpy cost, in reached pairs (measured: 220-250)
+_SIGMA_BOUND = 2.0**512  # path counts above this are rescaled (:func:`_rescaled`); workloads stay under 2**354
 
 
 def _cuts(network: ActivityNetwork, table: ReachabilityTable, bounds: list[tuple[int, int]]) -> list[int]:
@@ -163,12 +178,13 @@ def _scores(
     """
     n = network.n
     adjacency = network._csr
+    peak = max(1, int(np.bincount(adjacency[2], minlength=1).max()))  # the largest in-degree
     score, away, into = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
 
     def produce(batches: range):
         sums = np.zeros(n, dtype=np.int64)
         for start, stop in bounds[batches.start:batches.stop]:
-            yield from _search(adjacency, rows, start, stop, stamp, sums)
+            yield from _search(adjacency, peak, rows, start, stop, stamp, sums)
         yield sums
 
     def consume(batches: range, records) -> None:
@@ -182,7 +198,7 @@ def _scores(
 
 
 def _search(
-    adjacency, rows: np.ndarray, start: int, stop: int, stamp: np.ndarray, into: np.ndarray
+    adjacency, peak: int, rows: np.ndarray, start: int, stop: int, stamp: np.ndarray, into: np.ndarray
 ) -> Iterator[np.ndarray]:
     """Brandes' search from the batch of sources ``start`` to ``stop - 1``.
 
@@ -191,9 +207,12 @@ def _search(
     the successor CSR cut to U. ``sigma`` goes forward over the levels
     (:func:`_levels`) and ``delta`` back; each level's pairs add their
     depth to their source's and their node's exact int64 distance sums,
-    the latter in ``into``. It yields the reached nodes and their
-    dependencies, both in ascending source order, then the sources'
-    distance sums. The batch's arrays die before the next batch's levels.
+    the latter in ``into``. Where the largest in-degree ``peak`` to the
+    power of the batch's level count passes ``_SIGMA_BOUND``, each level's
+    counts go through :func:`_rescaled` (see :func:`betweenness`). It
+    yields the reached nodes and their dependencies, both in ascending
+    source order, then the sources' distance sums. The batch's arrays die
+    before the next batch's levels.
     """
     nodes = np.flatnonzero(_reached(rows, start, stop)).astype(np.int32)
     m, width = len(nodes), stop - start
@@ -203,10 +222,14 @@ def _search(
     heads = np.searchsorted(nodes, targets[_spans(first[nodes], count)]).astype(np.int32)
     sources = np.searchsorted(nodes, np.arange(start, stop))
     levels = list(_levels((np.cumsum(count) - count, count, heads), m, sources, stamp))
-    sigma = [np.ones(width)]
+    sigma, shifts = [np.ones(width)], []  # shifts stays empty in a batch whose counts cannot pass the bound
+    bounded = peak ** len(levels) <= _SIGMA_BOUND
     away, near = np.zeros(width, dtype=np.int64), np.zeros(m, dtype=np.int64)  # exact distance sums
     for depth, (keys, parent, child) in enumerate(levels, 1):
         sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
+        if not bounded:
+            sigma[-1], shift = _rescaled(sigma[-1], keys // m, width)
+            shifts.append(shift)
         away += depth * np.bincount(keys // m, minlength=width)
         near += depth * np.bincount(keys % m, minlength=m)
     into[nodes] += near
@@ -218,6 +241,8 @@ def _search(
         reached.append(keys)
         dependency.append(delta)
         coeff = (1.0 + delta) / sigma.pop()
+        if shifts:
+            coeff = np.ldexp(coeff, -shifts.pop())  # the ratio of this level's counts to the one above
         descending = len(keys) - 1 - child  # by child, descending; numpy sorts 16-bit keys stably by radix
         order = np.argsort(descending.astype(np.uint16) if len(keys) <= 1 << 16 else descending, kind="stable")
         parent = parent[order]
@@ -234,6 +259,23 @@ def _search(
     yield reached
     yield dependency
     yield away
+
+
+def _rescaled(counts: np.ndarray, source: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | int]:
+    """One level's path counts with each source's divided by 2**e, and each count's e.
+
+    A source whose largest count passes ``_SIGMA_BOUND`` takes the e that
+    brings that count into [0.5, 1); every other source takes e = 0. Where
+    no count passes the bound, the counts come back as they are and e as a
+    plain 0. ``source`` is each count's source, 0 to ``width - 1``.
+    """
+    if counts.max(initial=0) <= _SIGMA_BOUND:
+        return counts, 0
+    largest = np.zeros(width)
+    np.maximum.at(largest, source, counts)
+    exponent = np.where(largest > _SIGMA_BOUND, np.frexp(largest)[1], 0)
+    shift = exponent[source]
+    return np.ldexp(counts, -shift), shift
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -92,13 +92,9 @@ def bin_by_metric(metric: MetricVector, delays: DelayVector, n_bins: int) -> Bin
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    if len(metric.values) != len(delays.days):
-        raise ValueError("metric and delay vectors differ in length")
-    mask = np.asarray(delays.valid, dtype=bool)
-    if not mask.any():
+    x, y = _paired(metric, delays)
+    if not len(x):
         raise NoValidDelays(f"{delays.kind} delay")
-    x = metric.values[mask]
-    y = delays.days[mask].astype(np.float64)
 
     if x.max() == x.min():
         warnings.warn(
@@ -121,11 +117,28 @@ def bin_by_metric(metric: MetricVector, delays: DelayVector, n_bins: int) -> Bin
 
 
 def suggest_bin_count(metric: MetricVector, delays: DelayVector) -> int:
-    """Default bin count for trend plots: Freedman-Diaconis, clamped to [4, 30]."""
-    mask = np.asarray(delays.valid, dtype=bool)
-    if not mask.any():
+    """Default bin count for trend plots: Freedman-Diaconis, clamped to [4, 30].
+
+    Raises:
+        NoValidDelays: no node has both a metric value and a valid delay.
+        ValueError: metric length mismatch.
+    """
+    x, _ = _paired(metric, delays)
+    if not len(x):
         raise NoValidDelays(f"{delays.kind} delay")
-    return freedman_diaconis_bins(metric.values[mask])
+    return freedman_diaconis_bins(x)
+
+
+def _paired(metric: MetricVector, delays: DelayVector) -> tuple[np.ndarray, np.ndarray]:
+    """The metric values and the delays, as float64, of the nodes with a valid delay.
+
+    Raises:
+        ValueError: the metric and delay vectors differ in length.
+    """
+    if len(metric.values) != len(delays.days):
+        raise ValueError("metric and delay vectors differ in length")
+    mask = np.asarray(delays.valid, dtype=bool)
+    return metric.values[mask], delays.days[mask].astype(np.float64)
 
 
 def _delay(network: ActivityNetwork, which: str) -> DelayVector:

@@ -9,6 +9,13 @@ are the earlier dict-based Brandes and BFS-closeness implementations, kept
 unchanged as the reference for the library's floating-point path. The
 library must reproduce their bytes, not merely their values.
 
+``exact_betweenness`` is the same Brandes search in exact arithmetic, so
+it checks the library's betweenness at any depth, past where float64 path
+counts would overflow.
+
+``dags`` is the hypothesis strategy of small random DAGs the property
+tests share.
+
 ``screening_network`` and ``traced_peak`` are the network and the
 tracemalloc helper that the working-memory checks share, and
 ``forced_split`` the setting the checks of every split stage share.
@@ -26,9 +33,11 @@ import tracemalloc
 from collections import deque
 from datetime import date
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from schednet import (
     ActivityNetwork,
@@ -51,6 +60,16 @@ def make_records(ids, planned_start=DAY0, planned_end=DAY4):
 def make_network(ids, edge_pairs):
     """Network from id list and (predecessor id, successor id) pairs."""
     return build_network(make_records(ids), [Dependency(a, b) for a, b in edge_pairs])
+
+
+@st.composite
+def dags(draw):
+    """A DAG on 3-12 nodes whose index order is shuffled against its edges."""
+    n = draw(st.integers(3, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ids = [f"h{p:02d}" for p in draw(st.permutations(range(n)))]
+    return make_network(ids, [(ids[i], ids[j]) for (i, j), k in zip(pairs, keep) if k])
 
 
 def without_node(net, v):
@@ -308,6 +327,28 @@ def dict_betweenness(network):
                 delta[v] += sigma[v] * coeff
             if w != source:
                 score[w] += delta[w]
+    return score
+
+
+def exact_betweenness(network):
+    """Brandes betweenness as ``Fraction`` values: Python-int path counts, ``Fraction`` dependencies."""
+    succ = network.successor_lists
+    score = [Fraction(0)] * network.n
+    for source in range(network.n):
+        dist, sigma, preds, visited = {source: 0}, {source: 1}, {source: []}, [source]
+        for v in visited:  # grown while read, so it is the breadth-first queue
+            for w in succ[v]:
+                if w not in dist:
+                    dist[w], sigma[w], preds[w] = dist[v] + 1, 0, []
+                    visited.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = dict.fromkeys(visited, Fraction(0))
+        for w in reversed(visited[1:]):
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            score[w] += delta[w]
     return score
 
 

@@ -38,6 +38,7 @@ from schednet import heterogeneity
 from schednet.cli import main
 from schednet.network import ActivityNetwork
 from oracles import (
+    dags,
     decimal_rh,
     forced_split,
     make_network,
@@ -48,7 +49,7 @@ from oracles import (
     traced_peak,
     without_node,
 )
-from rh_bits import NETWORKS
+from rh_bits import NETWORKS, shuffled_dag
 
 
 def naive_local_values(net):
@@ -64,16 +65,6 @@ def naive_local_values(net):
         ]
         out.append(base - rh_global(build_network(keep, deps)).value)
     return out
-
-
-@st.composite
-def dags(draw):
-    """A DAG on 3-12 nodes whose index order is shuffled against its edges."""
-    n = draw(st.integers(3, 12))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    ids = [f"h{p:02d}" for p in draw(st.permutations(range(n)))]
-    return make_network(ids, [(ids[i], ids[j]) for (i, j), k in zip(pairs, keep) if k])
 
 
 def with_edges(net, pairs):
@@ -249,15 +240,14 @@ CONTRACT_SETS = {
 }
 
 
-# network: ((n-1) % 4, whether the sweep takes the partial refresh); c7 and
-# sparse cover (3, True) and dense (0, False)
+# network: (n-1) % 4, the tail rows of its reduced matrix; c7 and sparse cover 3
 SWEEP_TAILS = {
-    "partial-521": (0, True),
-    "partial-522": (1, True),
-    "partial-523": (2, True),
-    "full-434": (1, False),
-    "full-435": (2, False),
-    "full-436": (3, False),
+    "partial-521": 0,
+    "partial-522": 1,
+    "partial-523": 2,
+    "full-434": 1,
+    "full-435": 2,
+    "full-436": 3,
 }
 
 
@@ -324,9 +314,8 @@ class TestFloatContract:
 
     @openblas_kernels
     def test_sweep_blocks_keep_bits_at_every_tail_residue(self):
-        for name, (residue, partial) in SWEEP_TAILS.items():
-            net = NETWORKS[name]()
-            assert ((net.n - 1) % 4, heterogeneity._ReducedReach(net).partial) == (residue, partial), name
+        for name, residue in SWEEP_TAILS.items():
+            assert (NETWORKS[name]().n - 1) % 4 == residue, name
         assert heterogeneity._layout(433) == (144, 288)  # full-434's last block holds 145 rows
         for threads in (1, 2):
             bits = rh_bits(list(SWEEP_TAILS), threads, local=True)
@@ -495,21 +484,27 @@ def c7():  # a new network per test: the first rh_local_all keeps its vector on 
 @pytest.fixture(scope="module")
 def sparse():
     net = NETWORKS["sparse"]()
-    assert heterogeneity._ReducedReach(net).partial  # the sweep refreshes only changed rows
+    assert heterogeneity._ReducedReach(net).cut  # past the one-block regime: the sweep refreshes rows of R @ w
     return net
 
 
 def assert_keeps_blocked_product(net):
-    """After every node of the partial sweep, ``y`` has the bits of the full blocked product.
+    """After every node of the sweep, ``y`` has the bits of the full blocked product.
 
-    The full sweep, stepped alongside, recomputes every row of the same
-    reduced matrix at every node.
+    The full sweep, stepped alongside, forgets its last node before each
+    step, so it takes each node as a range's first and recomputes every
+    row of the same reduced matrix.
     """
     reduced, full = heterogeneity._ReducedReach(net), heterogeneity._ReducedReach(net)
-    reduced.partial, full.partial = True, False
     for k in range(net.n):
+        full.removed = None
         assert reduced.value_without(k) == full.value_without(k), k
         assert reduced.y.tobytes() == full.y.tobytes(), k
+
+
+# few product blocks (full-434: three below the last) and a dense closure (dense-closure-300: 1.3 n^2/16 pairs),
+# where most rows change or the product is cheap: a node that follows its predecessor still refreshes only those
+FOLLOWERS = {"full-434": NETWORKS["full-434"], "dense-closure-300": lambda: shuffled_dag(300, 0.02, 1)}
 
 
 class TestPartialRefresh:
@@ -551,6 +546,19 @@ class TestPartialRefresh:
         rh_local_all(c7)
         assert len(refreshed) == c7.n
         assert sum(refreshed) <= c7.n * (c7.n - 1) / 4
+
+    @pytest.mark.parametrize("name", FOLLOWERS)
+    def test_every_following_node_refreshes_only_changed_rows(self, name, monkeypatch, one_process):
+        net = FOLLOWERS[name]()
+        step, cut = heterogeneity._layout(net.n - 1)
+        assert 0 < cut < 4 * step or 16 * reachability_table(net).pair_count >= net.n**2
+        real, dirty = heterogeneity._ReducedReach._dirty, []
+        monkeypatch.setattr(heterogeneity._ReducedReach, "_dirty", lambda self, k: dirty.append(k) or real(self, k))
+        vector = rh_local_all(net)
+        assert dirty == list(range(1, net.n))
+        base = vector.global_score.value
+        for v in range(net.n):
+            assert vector.values[v] == base - rh_global(without_node(net, v)).value, v
 
     def test_sweep_peaks_under_a_quarter_of_the_float_matrix(self, c7, one_process):
         # the sweep holds packed rows and one float block, no reduced matrix

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from schednet import (
     ActivityNetwork,
@@ -31,12 +33,14 @@ from schednet import (
     weakly_connected_components,
 )
 from schednet import metrics
-from schednet.cli import _metrics_csv
+from schednet.cli import _metrics_csv, main
 from schednet.performance import DelayVector
 from oracles import (
+    dags,
     dict_betweenness,
     dict_closeness,
     enumerate_betweenness,
+    exact_betweenness,
     forced_split,
     make_network,
     make_records,
@@ -44,6 +48,7 @@ from oracles import (
     screening_network,
     traced_peak,
 )
+from rh_bits import NETWORKS
 
 # the acceptance-c7 topology: n=1208, sparse and shallow
 C7 = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
@@ -276,6 +281,94 @@ class TestShortestPathFloatPath:
         for _ in range(60):
             net = random_network(rng, n_min=3, n_max=40)
             self.assert_same_bytes(relabelled(net, rng.permutation(net.n)), monkeypatch)
+
+
+def ladder(layers, width):
+    """Complete ladder: every node of a layer precedes every node of the next, node i in layer i // width."""
+    ids = [f"A{i:05d}" for i in range(layers * width)]
+    edges = [(ids[i], ids[j]) for i in range(len(ids) - width) for j in range((i // width + 2) * width)[-width:]]
+    return make_network(ids, edges)
+
+
+def ladder_betweenness(layers, width):
+    """w * l * (L - 1 - l) at layer l: the w*l nodes above reach the w*(L-1-l) below, each through 1 of w nodes."""
+    return [width * (i // width) * (layers - 1 - i // width) for i in range(layers * width)]
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Each level ``_rescaled`` sees, as whether it rescaled any count; every batch searched in this process."""
+    seen, real = [], metrics._rescaled
+
+    def counted(counts, source, width):
+        out, shift = real(counts, source, width)
+        seen.append(np.ndim(shift) > 0)
+        return out, shift
+
+    monkeypatch.setattr(metrics, "_rescaled", counted)
+    monkeypatch.setattr(metrics, "_SPLIT_PAIRS", math.inf)
+    return seen
+
+
+class TestBoundedPathCounts:
+    """Path counts past ``_SIGMA_BOUND`` are rescaled by powers of two, and betweenness keeps its bits."""
+
+    @pytest.mark.parametrize("name", ["c7", "dense", "sparse", *(f"small-{seed}" for seed in range(8))])
+    def test_rescaled_levels_keep_every_bit(self, name, levels, monkeypatch):
+        net = NETWORKS[name]()
+        expected = betweenness(ActivityNetwork(net.nodes, net.edges)).values
+        assert not levels
+        # at 2**2 no level of c7 would rescale; at 2**0 every count of two or more paths passes the bound, and
+        # 46 of c7's 115 levels, 34 of sparse's 59, 1334 of dense's 1492 and 4 of each small network's 5 rescale
+        monkeypatch.setattr(metrics, "_SIGMA_BOUND", 1.0)
+        assert betweenness(net).values.tobytes() == expected.tobytes()
+        assert any(levels)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("bound", [None, 4.0])
+    def test_ladder_of_60_layers_through_analyze(self, width, bound, tmp_path, monkeypatch):
+        if bound is not None:
+            monkeypatch.setattr(metrics, "_SIGMA_BOUND", bound)
+        flags = ["--layers", "60", "--width", str(width), "--edge-prob", "1", "--skip-depth", "1"]
+        assert main(["generate", *flags, "--out", str(tmp_path / "in")]) == 0
+        files = [str(tmp_path / "in" / name) for name in ("activities.csv", "dependencies.csv")]
+        assert main(["analyze", *files, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "metrics.csv", newline="") as f:
+            got = {row["id"]: float(row["betweenness"]) for row in csv.DictReader(f)}
+        assert got == {f"A{i:05d}": value for i, value in enumerate(ladder_betweenness(60, width))}
+
+    def test_ladder_past_the_float64_range(self, levels, monkeypatch):
+        # 4**518 = 2**1036 shortest paths run from a node of the first layer to one of the last, which takes two
+        # rescales; a path of 520 nodes, whose ids sort right after the ladder's first layer, counts 1 at each
+        # depth in the same batch, where a scale shared by the level would take it below 2**-1022
+        rungs = ladder(520, 4)
+        ids, path = rungs.node_ids, [f"A00003p{k:04d}" for k in range(520)]
+        net = make_network([*ids, *path], [(ids[s], ids[t]) for s, t in rungs.edges] + list(zip(path, path[1:])))
+        # batches of 2**20 pairs take the search from 5 s at the default limits to 0.6 s
+        monkeypatch.setattr(metrics, "_limits", lambda n: (1 << 20, 1 << 21))
+        assert metrics._batches(reachability_table(net))[0][0][1] >= 4 + 520  # the first layer, all of the path
+        expected = {**dict(zip(ids, ladder_betweenness(520, 4))), **{v: k * (519 - k) for k, v in enumerate(path)}}
+        assert betweenness(net).values.tolist() == [expected[v] for v in net.node_ids]
+        assert any(levels)
+
+    def test_no_workload_reduces_or_rescales_a_level(self, levels):
+        # the largest in-degree to the power of a batch's level count reaches 2**52 on c7, 7**126 (about 2**354) on
+        # screen-10k and 2**23 on the small batch
+        betweenness(generate_dag(C7))
+        betweenness(prune_isolated(generate_dag(SCREEN_10K)))
+        for config in SMALL_BATCH:
+            betweenness(generate_dag(config))
+        assert levels == []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(dags())
+    def test_matches_the_exact_oracle(self, net):
+        exact = exact_betweenness(net)
+        values = betweenness(net).values
+        assert values.tolist() == pytest.approx([float(v) for v in exact], rel=1e-12, abs=1e-12)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_SIGMA_BOUND", 1.0)  # every level with a count of two paths or more rescales
+            assert betweenness(ActivityNetwork(net.nodes, net.edges)).values.tobytes() == values.tobytes()
 
 
 class TestShortestPathMemory:

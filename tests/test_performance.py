@@ -11,11 +11,13 @@ from schednet import (
     ActivityRecord,
     DegenerateMetricWarning,
     Dependency,
+    InsufficientData,
     MetricVector,
     NoValidDelays,
     bin_by_metric,
     build_network,
     end_delay,
+    frequency_matrix,
     start_delay,
     suggest_bin_count,
 )
@@ -203,3 +205,38 @@ class TestSuggestBinCount:
     def test_constant_metric_returns_single_bin(self):
         metric, delays = vectors([5.0, 5.0], [1, 2])
         assert suggest_bin_count(metric, delays) == 1
+
+
+# each reader of a metric and a delay vector, and its own error for too few valid delays
+PAIRED = {
+    "bin_by_metric": (lambda metric, delays: bin_by_metric(metric, delays, 3), NoValidDelays),
+    "suggest_bin_count": (suggest_bin_count, NoValidDelays),
+    "frequency_matrix": (lambda metric, delays: frequency_matrix(metric, delays, 2), InsufficientData),
+}
+
+
+class TestPairedVectors:
+    """The three readers of a metric against a delay vector check and pair them alike."""
+
+    @pytest.mark.parametrize("reader", PAIRED)
+    @pytest.mark.parametrize("metric_length", [3, 5])
+    def test_length_mismatch_is_rejected(self, reader, metric_length):
+        call, _ = PAIRED[reader]
+        metric, _ = vectors(np.arange(metric_length), np.arange(metric_length))
+        _, delays = vectors([0.0] * 4, [1, 2, 3, 4], valid=[True, False, True, True])
+        with pytest.raises(ValueError, match="differ in length"):
+            call(metric, delays)
+
+    @pytest.mark.parametrize("reader", PAIRED)
+    def test_no_valid_delay_raises_the_readers_own_error(self, reader):
+        call, error = PAIRED[reader]
+        metric, delays = vectors([0.0, 1.0, 2.0], [1, 2, 3], valid=[False] * 3)
+        with pytest.raises(error):
+            call(metric, delays)
+
+    def test_only_valid_delays_are_read(self):
+        # the masked node's metric value would widen the range and change the bin count
+        metric, delays = vectors([0.0, 1.0, 2.0, 1000.0], [1, 2, 3, 4], valid=[True, True, True, False])
+        assert suggest_bin_count(metric, delays) == suggest_bin_count(*vectors([0.0, 1.0, 2.0], [1, 2, 3]))
+        assert bin_by_metric(metric, delays, 2).bin_edges.tolist() == [0.0, 1.0, 2.0]
+        assert frequency_matrix(metric, delays, 2).total == 3
