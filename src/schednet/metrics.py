@@ -91,14 +91,15 @@ def betweenness(network: ActivityNetwork) -> MetricVector:
     that under ``_SIGMA_BOUND`` (2**512) runs as above. In any other
     batch, a level whose largest count passes the bound divides each
     source's counts there by a power of two, the one that brings that
-    source's largest count into [0.5, 1) (:func:`_rescaled`); sources at
-    or below the bound keep theirs. ``delta`` reads only the ratios of
-    counts one level apart, so the backward pass multiplies each
+    source's largest count into [2**511, 2**512) (:func:`_rescaled`);
+    sources at or below the bound keep theirs. ``delta`` reads only the
+    ratios of counts one level apart, so the backward pass multiplies each
     coefficient by the same power of two to restore them. A power of two
     is exact in binary floating point, so a rescaled batch keeps the bits
     it would have without rescaling, wherever those stay finite. One
-    source's counts at one level must stay within about 2**1000 of each
-    other: past that its smallest underflow, and the scores are not finite.
+    source's counts at one level must stay within about 2**1533 of each
+    other, 2**511 down to the least normal float, 2**-1022: past that its
+    smallest underflow, and the scores are not finite.
     """
     return _paths(network)[0]
 
@@ -265,15 +266,17 @@ def _rescaled(counts: np.ndarray, source: np.ndarray, width: int) -> tuple[np.nd
     """One level's path counts with each source's divided by 2**e, and each count's e.
 
     A source whose largest count passes ``_SIGMA_BOUND`` takes the e that
-    brings that count into [0.5, 1); every other source takes e = 0. Where
-    no count passes the bound, the counts come back as they are and e as a
-    plain 0. ``source`` is each count's source, 0 to ``width - 1``.
+    brings that count into [``_SIGMA_BOUND``/2, ``_SIGMA_BOUND``), the
+    highest it may take, so its smaller counts underflow last; every other
+    source takes e = 0. Where no count passes the bound, the counts come
+    back as they are and e as a plain 0. ``source`` is each count's
+    source, 0 to ``width - 1``.
     """
     if counts.max(initial=0) <= _SIGMA_BOUND:
         return counts, 0
     largest = np.zeros(width)
     np.maximum.at(largest, source, counts)
-    exponent = np.where(largest > _SIGMA_BOUND, np.frexp(largest)[1], 0)
+    exponent = np.where(largest > _SIGMA_BOUND, np.frexp(largest / _SIGMA_BOUND)[1], 0)
     shift = exponent[source]
     return np.ldexp(counts, -shift), shift
 

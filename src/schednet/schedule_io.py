@@ -7,12 +7,13 @@ File formats:
   network JSON:     ``{"nodes": [{"id": ...}, ...], "edges": [[src, dst], ...]}``
                     with edge indices referencing node array order.
 
-The readers take a file row by row, in one loop each, and unpack a row's
-stripped cells straight into names. ``read_activities`` parses each
-distinct date text once per file: a dict holds every text ``_iso_date``
-has accepted, and a row whose texts are all in it takes its dates from
-there. Any other row is parsed field by field, so an empty or invalid
-date raises the message and line it always did. ``build_network`` maps
+Both readers take their rows from one generator, ``_csv_rows``: it skips
+blank rows, checks each row's field count and gives the line the row
+starts on. Dates go through a memo each way: ``read_activities`` parses
+each distinct date text once per file (``_Dates``), and the writers
+format each distinct date once (``_IsoDates``). A row with an empty or
+invalid date is parsed again field by field, for the message that names
+the field. ``build_network`` maps
 each dependency row to the int64 key ``s * n + t`` of its node indices,
 and the network sorts the keys and keeps each one once. At n=9125 (the
 screen-10k schedule) ``load_network`` takes 72-79 ms of CPU where the
@@ -22,7 +23,6 @@ row-by-row build took 115-128 ms, and 8.0 where it took 12.5 ms on c7
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import re
 from datetime import date
@@ -47,40 +47,26 @@ def read_activities(path: str | Path) -> list[ActivityRecord]:
     path = Path(path)
     records: list[ActivityRecord] = []
     seen: set[str] = set()
-    dates: dict[str, date] = {}  # every date text of this file that ``_iso_date`` accepted, read once
-    with _csv_reader(path, ACTIVITY_FIELDS) as reader:
-        line = reader.line_num + 1
-        for row in reader:
-            if row and (len(row) > 1 or row[0].strip()):
-                if len(row) != len(ACTIVITY_FIELDS):
-                    raise ScheduleParseError(
-                        f"expected {len(ACTIVITY_FIELDS)} fields, got {len(row)}",
-                        path=str(path),
-                        line=line,
-                    )
-                activity_id, name, planned_start, planned_end, actual_start, actual_end = map(str.strip, row)
-                if activity_id in seen:
-                    raise ScheduleParseError(
-                        f"duplicate activity id {activity_id!r}", path=str(path), line=line
-                    )
-                try:
-                    try:
-                        days = (
-                            dates[planned_start],
-                            dates[planned_end],
-                            dates[actual_start] if actual_start else None,
-                            dates[actual_end] if actual_end else None,
-                        )
-                    except KeyError:  # a text this file has not held yet, or no date: each field parsed by name
-                        texts = (planned_start, planned_end, actual_start, actual_end)
-                        days = _parse_dates(*texts)
-                        dates.update((text, day) for text, day in zip(texts, days) if text)
-                    record = ActivityRecord(activity_id, name, *days)
-                except ValueError as exc:
-                    raise ScheduleParseError(str(exc), path=str(path), line=line) from exc
-                seen.add(activity_id)
-                records.append(record)
-            line = reader.line_num + 1
+    dates = _Dates()
+    for line, cells in _csv_rows(path, ACTIVITY_FIELDS):
+        activity_id, name, planned_start, planned_end, actual_start, actual_end = cells
+        if activity_id in seen:
+            raise ScheduleParseError(f"duplicate activity id {activity_id!r}", path=str(path), line=line)
+        try:
+            try:
+                days = (
+                    dates[planned_start],
+                    dates[planned_end],
+                    dates[actual_start] if actual_start else None,
+                    dates[actual_end] if actual_end else None,
+                )
+            except ValueError:  # an empty or invalid date: raised again with the name of its field
+                days = _parse_dates(planned_start, planned_end, actual_start, actual_end)
+            record = ActivityRecord(activity_id, name, *days)
+        except ValueError as exc:
+            raise ScheduleParseError(str(exc), path=str(path), line=line) from exc
+        seen.add(activity_id)
+        records.append(record)
     return records
 
 
@@ -99,38 +85,21 @@ def read_dependencies(
     """
     path = Path(path)
     deps: list[Dependency] = []
-    with _csv_reader(path, DEPENDENCY_FIELDS) as reader:
-        line = reader.line_num + 1
-        for row in reader:
-            if row and (len(row) > 1 or row[0].strip()):
-                if len(row) != 2:
-                    raise ScheduleParseError(
-                        f"expected 2 fields, got {len(row)}", path=str(path), line=line
-                    )
-                predecessor, successor = map(str.strip, row)
-                if not predecessor or not successor:
-                    raise ScheduleParseError("empty activity id", path=str(path), line=line)
-                if known_ids is not None and (predecessor not in known_ids or successor not in known_ids):
-                    unknown = successor if predecessor in known_ids else predecessor
-                    raise ScheduleParseError(
-                        f"unknown activity id {unknown!r}", path=str(path), line=line
-                    )
-                deps.append(Dependency(predecessor, successor))
-            line = reader.line_num + 1
+    for line, (predecessor, successor) in _csv_rows(path, DEPENDENCY_FIELDS):
+        if not predecessor or not successor:
+            raise ScheduleParseError("empty activity id", path=str(path), line=line)
+        if known_ids is not None and (predecessor not in known_ids or successor not in known_ids):
+            unknown = successor if predecessor in known_ids else predecessor
+            raise ScheduleParseError(f"unknown activity id {unknown!r}", path=str(path), line=line)
+        deps.append(Dependency(predecessor, successor))
     return deps
 
 
 def activities_csv(records: Sequence[ActivityRecord]) -> str:
     """Activities CSV text; an activity without actual dates gets empty cells."""
+    iso = _IsoDates({None: ""})  # each distinct date is formatted once
     rows = [
-        (
-            rec.id,
-            rec.name,
-            rec.planned_start.isoformat(),
-            rec.planned_end.isoformat(),
-            rec.actual_start.isoformat() if rec.actual_start else "",
-            rec.actual_end.isoformat() if rec.actual_end else "",
-        )
+        (rec.id, rec.name, iso[rec.planned_start], iso[rec.planned_end], iso[rec.actual_start], iso[rec.actual_end])
         for rec in records
     ]
     return csv_text(ACTIVITY_FIELDS, rows)
@@ -180,6 +149,14 @@ class _IsoDates(dict):
     def __missing__(self, day: date | None) -> str | None:
         self[day] = text = day.isoformat() if day else None
         return text
+
+
+class _Dates(dict):
+    """A date by its ISO text, parsed on first lookup; only texts that hold a date are kept."""
+
+    def __missing__(self, text: str) -> date:
+        self[text] = day = _iso_date(text)
+        return day
 
 
 def network_from_json(data: dict[str, Any]) -> ActivityNetwork:
@@ -235,25 +212,33 @@ def _parse_date(text: str, field: str) -> date:
         raise ValueError(f"{field}: invalid ISO date {text!r}") from None
 
 
-@contextlib.contextmanager
-def _csv_reader(path: Path, fields: Sequence[str]) -> Iterator[Any]:
-    """A CSV reader positioned below a schedule file's header; its caller reads the rows.
+def _csv_rows(path: Path, fields: Sequence[str]) -> Iterator[tuple[int, Iterator[str]]]:
+    """Each non-blank row below a schedule file's header, as its line and its stripped cells.
 
-    The caller skips blank rows and takes a row's line number as the
-    reader's ``line_num`` before the row plus one: the physical line the
-    row starts on, so a quoted field that spans lines does not shift the
-    rows after it.
+    A row's line is the reader's ``line_num`` before the row plus one: the
+    physical line the row starts on, so a quoted field that spans lines
+    does not shift the rows after it. The file closes once the generator
+    is exhausted, closed or dropped.
 
     Raises:
-        ScheduleParseError: the header differs from ``fields``, the file is
-            not UTF-8 text, or a row breaks the CSV reader (a field over its
-            size limit, say); the latter carries the line the reader was on.
+        ScheduleParseError: the header differs from ``fields``, a row holds
+            another number of fields, the file is not UTF-8 text, or a row
+            breaks the CSV reader (a field over its size limit, say); the
+            latter carries the line the reader was on.
     """
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             _expect_header(reader, fields, path)
-            yield reader
+            line = reader.line_num + 1
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):
+                    if len(row) != len(fields):
+                        raise ScheduleParseError(
+                            f"expected {len(fields)} fields, got {len(row)}", path=str(path), line=line
+                        )
+                    yield line, map(str.strip, row)
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:
             raise ScheduleParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from exc
         except csv.Error as exc:

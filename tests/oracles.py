@@ -9,14 +9,16 @@ are the earlier dict-based Brandes and BFS-closeness implementations, kept
 unchanged as the reference for the library's floating-point path. The
 library must reproduce their bytes, not merely their values.
 
-``exact_betweenness`` is the same Brandes search in exact arithmetic, so
-it checks the library's betweenness at any depth, past where float64 path
-counts would overflow.
+``exact_betweenness`` is the same Brandes search with Python-int path
+counts, so it checks the library's betweenness at any depth, past where
+float64 path counts would overflow: in exact arithmetic, or in floats
+fast enough for every node at 10k.
 
 ``dags`` is the hypothesis strategy of small random DAGs the property
 tests share.
 
-``screening_network`` and ``traced_peak`` are the network and the
+``SCREEN_10K`` is perfbench's largest topology, for the checks at its
+scale. ``screening_network`` and ``traced_peak`` are the network and the
 tracemalloc helper that the working-memory checks share, and
 ``forced_split`` the setting the checks of every split stage share.
 ``read_schedule`` reads a schedule's CSV files with the standard library
@@ -94,6 +96,10 @@ def random_network(rng, n_min=2, n_max=12, p=None, ensure_edge=False):
     if ensure_edge and not pairs and n >= 2:
         pairs = [(ids[0], ids[1])]
     return make_network(ids, pairs)
+
+
+# perfbench's screen-10k topology: n=9125 once pruned, 2.44M reachable pairs
+SCREEN_10K = GeneratorConfig(layer_count=200, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11)
 
 
 def screening_network():
@@ -330,10 +336,14 @@ def dict_betweenness(network):
     return score
 
 
-def exact_betweenness(network):
-    """Brandes betweenness as ``Fraction`` values: Python-int path counts, ``Fraction`` dependencies."""
+def exact_betweenness(network, ratio=Fraction):
+    """Brandes betweenness from Python-int path counts, each dependency ``ratio(sigma_v, sigma_w) * (1 + delta_w)``.
+
+    With ``Fraction`` the values are exact. With ``operator.truediv`` they
+    are floats, and each ratio of two ints is correctly rounded at any size.
+    """
     succ = network.successor_lists
-    score = [Fraction(0)] * network.n
+    score = [ratio(0, 1)] * network.n
     for source in range(network.n):
         dist, sigma, preds, visited = {source: 0}, {source: 1}, {source: []}, [source]
         for v in visited:  # grown while read, so it is the breadth-first queue
@@ -344,10 +354,10 @@ def exact_betweenness(network):
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = dict.fromkeys(visited, Fraction(0))
+        delta = dict.fromkeys(visited, ratio(0, 1))
         for w in reversed(visited[1:]):
             for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+                delta[v] += ratio(sigma[v], sigma[w]) * (1 + delta[w])
             score[w] += delta[w]
     return score
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import os
 
 import numpy as np
@@ -36,6 +37,7 @@ from schednet import metrics
 from schednet.cli import _metrics_csv, main
 from schednet.performance import DelayVector
 from oracles import (
+    SCREEN_10K,
     dags,
     dict_betweenness,
     dict_closeness,
@@ -54,8 +56,6 @@ from rh_bits import NETWORKS
 C7 = GeneratorConfig(layer_count=40, layer_width=34, edge_probability=0.0169, skip_depth=2, seed=7)
 # denser and deeper: n=1560, 325k reachable pairs
 DEEP = GeneratorConfig(layer_count=40, layer_width=40, edge_probability=0.015, skip_depth=3, seed=13)
-# perfbench's screen-10k topology: n=9125 once pruned, 2.44M reachable pairs
-SCREEN_10K = GeneratorConfig(layer_count=200, layer_width=50, edge_probability=0.012, skip_depth=2, seed=11)
 # perfbench's analyze-small-batch topologies at seed 0 (n about 96)
 SMALL_BATCH = [
     GeneratorConfig(layer_count=12, layer_width=8, edge_probability=0.2, skip_depth=3, seed=seed) for seed in range(200)
@@ -295,6 +295,20 @@ def ladder_betweenness(layers, width):
     return [width * (i // width) * (layers - 1 - i // width) for i in range(layers * width)]
 
 
+def ladder_closeness(layers, width, n):
+    """Closeness and reverse closeness at each layer of a complete ladder inside a network of n nodes.
+
+    A node D layers above the last reaches r = w*D nodes, w at each distance 1 to D, so the distance sum is
+    w*D*(D+1)/2; the float order is the library's, (r / (n - 1)) * (r / total), and 0 reaches nothing.
+    """
+
+    def value(depth):
+        r, total = width * depth, width * depth * (depth + 1) // 2
+        return (r / (n - 1)) * (r / total) if depth else 0.0
+
+    return [value(layers - 1 - k) for k in range(layers)], [value(k) for k in range(layers)]
+
+
 @pytest.fixture
 def levels(monkeypatch):
     """Each level ``_rescaled`` sees, as whether it rescaled any count; every batch searched in this process."""
@@ -334,8 +348,14 @@ class TestBoundedPathCounts:
         files = [str(tmp_path / "in" / name) for name in ("activities.csv", "dependencies.csv")]
         assert main(["analyze", *files, "--out", str(tmp_path / "out")]) == 0
         with open(tmp_path / "out" / "metrics.csv", newline="") as f:
-            got = {row["id"]: float(row["betweenness"]) for row in csv.DictReader(f)}
-        assert got == {f"A{i:05d}": value for i, value in enumerate(ladder_betweenness(60, width))}
+            rows = list(csv.DictReader(f))
+        ids = [f"A{i:05d}" for i in range(60 * width)]
+        got = {row["id"]: float(row["betweenness"]) for row in rows}
+        assert got == dict(zip(ids, ladder_betweenness(60, width)))
+        away, into = ladder_closeness(60, width, 60 * width)
+        for name, expected in (("closeness", away), ("reverse_closeness", into)):
+            got = {row["id"]: float(row[name]) for row in rows}
+            assert got == {v: expected[i // width] for i, v in enumerate(ids)}
 
     def test_ladder_past_the_float64_range(self, levels, monkeypatch):
         # 4**518 = 2**1036 shortest paths run from a node of the first layer to one of the last, which takes two
@@ -348,6 +368,29 @@ class TestBoundedPathCounts:
         monkeypatch.setattr(metrics, "_limits", lambda n: (1 << 20, 1 << 21))
         assert metrics._batches(reachability_table(net))[0][0][1] >= 4 + 520  # the first layer, all of the path
         expected = {**dict(zip(ids, ladder_betweenness(520, 4))), **{v: k * (519 - k) for k, v in enumerate(path)}}
+        assert betweenness(net).values.tolist() == [expected[v] for v in net.node_ids]
+        assert any(levels)
+        # the path is a ladder of width 1
+        closed_forms = zip(ladder_closeness(520, 4, net.n), ladder_closeness(520, 1, net.n), (False, True))
+        for wide, narrow, reverse in closed_forms:
+            expected = {**{v: wide[i // 4] for i, v in enumerate(ids)}, **dict(zip(path, narrow))}
+            assert closeness(net, reversed_edges=reverse).values.tolist() == [expected[v] for v in net.node_ids]
+
+    def test_counts_of_one_source_and_level_apart_by_2_to_the_1098(self, levels, monkeypatch):
+        # S reaches the last layer of a 550 x 4 ladder by 4**549 = 2**1098 paths and the last node of a 550-node
+        # path, at the same depth, by one; scaled with the ladder's count into [0.5, 1), that one would underflow
+        layers, width = 550, 4
+        ladder_ids = [f"L{k:04d}_{j}" for k in range(layers) for j in range(width)]
+        path = [f"P{k:04d}" for k in range(layers)]
+        edges = [(a, b) for k in range(layers - 1) for a in ladder_ids[k * width:(k + 1) * width]
+                 for b in ladder_ids[(k + 1) * width:(k + 2) * width]]
+        edges += list(zip(path, path[1:])) + [("S", v) for v in ladder_ids[:width]] + [("S", path[0])]
+        net = make_network([*ladder_ids, *path, "S"], edges)
+        assert net.n == 2751
+        monkeypatch.setattr(metrics, "_limits", lambda n: (1 << 20, 1 << 21))  # as in the 520 x 4 ladder above
+        # S is one more ancestor of every node: (w*l + 1) * (L - 1 - l) on the ladder, (k + 1) * (P - 1 - k) on the path
+        expected = {v: (width * (i // width) + 1) * (layers - 1 - i // width) for i, v in enumerate(ladder_ids)}
+        expected.update({v: (k + 1) * (layers - 1 - k) for k, v in enumerate(path)}, S=0)
         assert betweenness(net).values.tolist() == [expected[v] for v in net.node_ids]
         assert any(levels)
 
@@ -442,6 +485,16 @@ class TestNetworkxOracle:
         )
         for ours, theirs in zip(path_metrics(net), expected):
             np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0.0)
+
+
+class TestIntegerPathCountOracle:
+    def test_betweenness_at_every_node_of_screen_10k(self):
+        # a stdlib Brandes whose counts cannot overflow, in about 2.5 s at n=9125; the library's values differ from
+        # its by at most 2.5e-16 relative, and 9078 of the 9125 are equal bit for bit
+        net = prune_isolated(generate_dag(SCREEN_10K))
+        assert net.n == 9125
+        expected = exact_betweenness(net, ratio=operator.truediv)
+        np.testing.assert_allclose(betweenness(net).values, expected, rtol=1e-12, atol=0.0)
 
 
 class TestRelabelInvariance:

@@ -137,6 +137,19 @@ class TestReadActivities:
             read_activities(write(tmp_path, "a.csv", text))
         assert excinfo.value.line == 5
 
+    def test_an_invalid_planned_end_after_cached_dates_keeps_its_name_and_line(self, tmp_path):
+        # the row's planned_start is a text no earlier row held, and its planned_end one no date reader accepts
+        text = ACTIVITY_CSV + "d,Late,2021-01-13,2021-13-01,2021-01-06,2021-01-08\n"
+        with pytest.raises(ScheduleParseError, match="planned_end: invalid ISO date '2021-13-01'") as excinfo:
+            read_activities(write(tmp_path, "a.csv", text))
+        assert excinfo.value.line == 5
+
+    def test_an_empty_planned_start_after_cached_dates_is_required(self, tmp_path):
+        text = ACTIVITY_CSV + "d,Late,,2021-01-08,2021-01-06,2021-01-08\n"
+        with pytest.raises(ScheduleParseError, match="planned_start is required") as excinfo:
+            read_activities(write(tmp_path, "a.csv", text))
+        assert excinfo.value.line == 5
+
     def test_repeated_date_texts_read_as_equal_dates(self, tmp_path):
         text = ACTIVITY_CSV + "d,Again,2021-01-06,2021-01-08,2021-01-06,2021-01-08\n"
         records = read_activities(write(tmp_path, "a.csv", text))
@@ -184,6 +197,20 @@ def test_unreadable_row_raises_parse_error_with_path(tmp_path, reader, text, kin
     assert excinfo.value.path == str(path)
     # the decoder reads ahead in blocks, so only the CSV reader knows its line
     assert excinfo.value.line == (None if kind == "undecodable" else text.count("\n") + 1)
+
+
+# a row of three fields after a row whose quoted first cell spans two lines, which takes both its lines
+@pytest.mark.parametrize(
+    "reader, text, fields",
+    [(read_activities, ACTIVITY_CSV, 6), (read_dependencies, DEPENDENCY_CSV, 2)],
+    ids=["activities", "dependencies"],
+)
+def test_a_field_count_error_after_a_two_line_cell_keeps_its_message_and_physical_line(tmp_path, reader, text, fields):
+    text = text.replace("\nb,", '\n"b\nb",', 1) + "x,y,z\n"
+    with pytest.raises(ScheduleParseError, match=f"expected {fields} fields, got 3") as excinfo:
+        reader(write(tmp_path, "schedule.csv", text))
+    assert excinfo.value.line == text.count("\n")
+    assert f":{excinfo.value.line}:" in str(excinfo.value)
 
 
 class TestRoundTrip:
